@@ -31,11 +31,14 @@ typedef enum {
   CUSFFT_SUCCESS = 0,
   CUSFFT_INVALID_ARGUMENT = -1, /* bad n/k/backend/null pointer */
   CUSFFT_ALLOC_FAILED = -2,     /* out of (device) memory */
-  CUSFFT_INTERNAL_ERROR = -3
+  CUSFFT_INTERNAL_ERROR = -3    /* simulator failure, e.g. a deadlock */
 } cusfft_status;
 
 /* Creates a plan for signals of length n (power of two >= 16) expecting
- * about k large coefficients. */
+ * about k large coefficients. GPU backends build the device plans of the
+ * algorithm that will run here (and in every setter that rebuilds), so a
+ * shape that does not fit device memory fails the configuring call with
+ * CUSFFT_ALLOC_FAILED rather than the first execute. */
 cusfft_status cusfft_plan(cusfft_handle* out, size_t n, size_t k,
                           cusfft_backend backend);
 
@@ -54,14 +57,15 @@ typedef enum {
 
 /* Selects the algorithm. Must be called before the first execute; rebuilds
  * the internal state. On GPU backends AUTO consults the crossover picker
- * (mode from CUSFFT_AUTOPICK: "measured" calibrates each shape once by
- * running both backends, "modeled" compares analytic costs); on CPU
+ * once at every rebuild, to build the plan for the backend it picks, and
+ * again for every signal of every execute, whatever the device and node
+ * count (mode from CUSFFT_AUTOPICK: "measured" calibrates each shape once
+ * by running both backends, "modeled" compares analytic costs); on CPU
  * backends AUTO runs the default bucket-hashing algorithm, and FFAST runs
  * the reference CPU implementation. The CUSFFT_ALGO environment variable
  * ("cusfft" / "ffast" / "auto") overrides this setting; both variables
- * are re-read on every rebuild and every multi-device batch (never
- * latched), and malformed values fail the call with
- * CUSFFT_INVALID_ARGUMENT. */
+ * are re-read on every rebuild and every GPU execute (never latched), and
+ * malformed values fail the call with CUSFFT_INVALID_ARGUMENT. */
 cusfft_status cusfft_set_algorithm(cusfft_handle h, cusfft_algorithm algo);
 
 /* Runs the transform. `input` is n interleaved (re, im) doubles.
@@ -95,14 +99,16 @@ cusfft_status cusfft_set_batch_pipeline(cusfft_handle h, int enable);
 /* Plan introspection. */
 cusfft_status cusfft_get_size(cusfft_handle h, size_t* n, size_t* k);
 
-/* ---- Multi-device fleet (GPU backends) ----
- * Shards each cusfft_execute_many batch across `devices` simulated GPUs
- * (one host thread team per device, the stream pipeline live inside each
- * shard, PCIe copies contending for the shared host link). Results stay
- * in input order and bit-identical to the single-device path; only the
- * modeled batch time changes. devices == 1 (the default) restores the
- * single-device plan. Rebuilds the internal state, so call before the
- * first execute. CPU backends accept and ignore the setting. */
+/* ---- Topology (GPU backends) ----
+ * Every GPU plan runs on a simulated cluster of `nodes` hosts with
+ * `devices` GPUs each, through one executor; the default 1 x 1 cluster
+ * is the single-device plan. More devices shard each batch across a
+ * node's GPUs (one host thread team per device, the stream pipeline live
+ * inside each shard, PCIe copies contending for the shared host link).
+ * Results stay in input order and bit-identical at every topology; only
+ * the modeled batch time changes. Both setters rebuild the internal
+ * state, so call them before the first execute. CPU backends accept and
+ * ignore them. */
 cusfft_status cusfft_set_device_count(cusfft_handle h, size_t devices);
 
 /* Root-complex admission policy for the fleet's H2D/D2H copies.
@@ -139,8 +145,8 @@ cusfft_status cusfft_set_shard_policy(cusfft_handle h,
                                       cusfft_shard_policy policy);
 
 /* Fleet-level modeled timing of the most recent execute/execute_many on
- * a GPU backend (whatever the device count — a single device reports
- * imbalance 1.0 and zero PCIe stalls). */
+ * a GPU backend, at every topology (a single device reports imbalance
+ * 1.0 and zero PCIe stalls). */
 typedef struct {
   double model_ms;      /* merged fleet makespan (shared time origin) */
   double imbalance;     /* max/mean busy-device finish; 1.0 = balanced */
@@ -155,22 +161,20 @@ typedef struct {
 cusfft_status cusfft_get_fleet_stats(cusfft_handle h,
                                      cusfft_fleet_stats* out);
 
-/* Per-device utilization of the last run: device `device`'s finish time
- * over the fleet makespan (0 for a device that received no signals).
- * CUSFFT_INVALID_ARGUMENT when out of range or no run yet. */
+/* Per-device utilization of the last run: the fraction of the makespan
+ * device `device` (node-major across nodes) had a kernel resident (0 for
+ * a device that received no signals). CUSFFT_INVALID_ARGUMENT when out of
+ * range or no run yet. */
 cusfft_status cusfft_get_device_utilization(cusfft_handle h, size_t device,
                                             double* utilization);
 
 /* ---- Multi-node cluster (GPU backends) ----
- * Stacks the fleet onto `nodes` simulated hosts: each node owns
- * cusfft_set_device_count devices behind its own PCIe root complex, and
- * the nodes are joined by a modeled NIC fabric (bandwidth, per-message
- * latency, and contention distinct from PCIe). Batches shard across
- * nodes by the analytic cost model plus a NIC staging term (node 0 is
- * co-located with the data and pays none); results stay in input order
- * and bit-identical to the single-node path. nodes == 1 (the default)
- * restores the plain fleet. Rebuilds the internal state, so call before
- * the first execute. CPU backends accept and ignore the setting. */
+ * More nodes stack the devices onto `nodes` simulated hosts: each node
+ * owns cusfft_set_device_count devices behind its own PCIe root complex,
+ * and the nodes are joined by a modeled NIC fabric (bandwidth,
+ * per-message latency, and contention distinct from PCIe). Batches shard
+ * across nodes by the analytic cost model plus a NIC staging term (node 0
+ * is co-located with the data and pays none). */
 cusfft_status cusfft_set_node_count(cusfft_handle h, size_t nodes);
 
 /* Cluster-level modeled timing of the most recent execute/execute_many
@@ -252,7 +256,8 @@ cusfft_status cusfft_metrics_reset(void);
  * with a latency- or throughput-class SLO and an optional deadline,
  * bounded per-tenant admission (overflow is rejected immediately, never
  * blocked), and a dynamic batcher that coalesces pending requests into
- * mixed-shape fleet batches (shape-keyed plan cache shared across
+ * mixed-shape batches on a nodes x devices cluster — the same executor
+ * as cusfft_plan's GPU backends (shape-keyed plan cache shared across
  * tenants). The C surface exposes the virtual-clock drive: submissions
  * carry a nondecreasing arrival time in modeled milliseconds and
  * cusfft_server_advance/_drain launch the batches, so replays are
@@ -285,7 +290,9 @@ typedef struct {
  * CUSFFT_INVALID_ARGUMENT). */
 cusfft_status cusfft_server_config_default(cusfft_server_config* out);
 
-/* cfg == NULL uses cusfft_server_config_default(). */
+/* cfg == NULL uses cusfft_server_config_default() plus CUSFFT_SERVE_NODES
+ * (the node count, which the struct does not carry; an explicit cfg
+ * serves on one node). */
 cusfft_status cusfft_server_create(cusfft_server* out,
                                    const cusfft_server_config* cfg);
 

@@ -8,6 +8,7 @@
 
 #include "core/rng.hpp"
 #include "core/timer.hpp"
+#include "cusfft/autopick.hpp"
 #include "cusim/metrics.hpp"
 #include "fft/fft.hpp"
 #include "sfft/steps.hpp"
@@ -43,6 +44,68 @@ double node_signal_cost_s(const sfft::Params& p,
          launches * spec.kernel_launch_overhead_s;
 }
 
+/// The cluster-clock rollup shared by the batch and slab paths: makespan,
+/// NIC totals, each device's finish/PCIe/utilization from the merged
+/// schedule, and one GpuNodeShardStats per node. `shard` (one entry per
+/// global device, node-major) brings each device's signal count and solo
+/// time; the node-level imbalance spans the nodes with `worked[m]` set —
+/// the device split inside a node is its own fleet's story.
+GpuFleetStats cluster_rollup(const cusim::Cluster& cluster,
+                             const cusim::ClusterSchedule& cs,
+                             std::vector<GpuDeviceShardStats> shard,
+                             const std::vector<bool>& worked) {
+  GpuFleetStats st;
+  st.model_ms = cs.makespan_s * 1e3;
+  st.devices = cluster.devices();
+  st.nodes = cluster.nodes();
+  st.staging = cluster.staging().name();
+  st.nic_transfers = cs.nic.size();
+  st.nic_bytes = cs.nic_bytes;
+  for (const cusim::NicSpan& s : cs.nic)
+    st.nic_transfer_ms += (s.finish_s - s.start_s) * 1e3;
+
+  double finish_sum = 0, finish_max = 0;
+  std::size_t busy_nodes = 0, g = 0;
+  for (std::size_t m = 0; m < cluster.nodes(); ++m) {
+    const cusim::DeviceGroup& grp = cluster.node(m);
+    const cusim::FleetSchedule& f = cs.node_fleet[m];
+    GpuNodeShardStats ns;
+    ns.devices = grp.size();
+    double busy_sum = 0;
+    for (std::size_t d = 0; d < grp.size(); ++d, ++g) {
+      GpuDeviceShardStats ds = std::move(shard[g]);
+      ds.device = grp.device(d).spec().name;
+      ds.model_ms = f.finish_s[d] * 1e3;
+      ds.pcie_stall_ms = f.pcie_stall_s[d] * 1e3;
+      ds.pcie_queue_ms = f.pcie_queue_s[d] * 1e3;
+      if (st.model_ms > 0) ds.utilization = f.busy_s[d] * 1e3 / st.model_ms;
+      busy_sum += ds.utilization;
+      ns.signals += ds.signals;
+      st.pcie_stall_ms += ds.pcie_stall_ms;
+      st.pcie_queue_ms += ds.pcie_queue_ms;
+      st.per_device.push_back(std::move(ds));
+    }
+    ns.model_ms = cs.node_finish_s[m] * 1e3;
+    ns.offset_ms = cs.node_offset_s[m] * 1e3;
+    ns.nic_stall_ms = cs.nic_stall_s[m] * 1e3;
+    ns.nic_queue_ms = cs.nic_queue_s[m] * 1e3;
+    for (const cusim::NicSpan& s : cs.nic)
+      if (s.node == m) ns.nic_bytes += s.bytes;
+    ns.utilization = grp.size() > 0 ? busy_sum / grp.size() : 0.0;
+    st.nic_stall_ms += ns.nic_stall_ms;
+    st.nic_queue_ms += ns.nic_queue_ms;
+    if (worked[m]) {
+      finish_sum += ns.model_ms;
+      finish_max = std::max(finish_max, ns.model_ms);
+      ++busy_nodes;
+    }
+    st.per_node.push_back(std::move(ns));
+  }
+  if (busy_nodes > 0 && finish_sum > 0)
+    st.imbalance = finish_max / (finish_sum / busy_nodes);
+  return st;
+}
+
 }  // namespace
 
 struct ClusterPlan::Impl {
@@ -58,11 +121,22 @@ struct ClusterPlan::Impl {
 
   void ensure_node_plans() {
     if (!node_plans.empty()) return;
+    // The eager plans take the backend the plan's own shape resolves to
+    // (CUSFFT_ALGO, then the kAuto picker — one pick per build, whatever
+    // the topology), so they are the plans its batches run and a backend
+    // that cannot fit fails here. Batches still resolve every signal.
+    sfft::Params shape = params;
+    shape.algo =
+        resolve_algorithm(params, cluster->node(0).device(0).spec(), opts);
+    // Built aside and committed whole, so a node whose plans throw (the
+    // shape does not fit its devices) leaves no partial set behind.
+    std::vector<std::unique_ptr<MultiGpuPlan>> built;
     for (std::size_t m = 0; m < cluster->nodes(); ++m) {
-      node_plans.push_back(
-          std::make_unique<MultiGpuPlan>(cluster->node(m), params, opts));
-      node_plans.back()->set_shard_policy(policy);
+      built.push_back(
+          std::make_unique<MultiGpuPlan>(cluster->node(m), shape, opts));
+      built.back()->set_shard_policy(policy);
     }
+    node_plans = std::move(built);
   }
 };
 
@@ -87,6 +161,8 @@ std::size_t ClusterPlan::nodes() const { return impl_->cluster->nodes(); }
 std::size_t ClusterPlan::devices() const { return impl_->cluster->devices(); }
 cusim::Cluster& ClusterPlan::cluster() { return *impl_->cluster; }
 const sfft::Params& ClusterPlan::params() const { return impl_->params; }
+
+void ClusterPlan::prepare() { impl_->ensure_node_plans(); }
 
 void ClusterPlan::set_shard_policy(ShardPolicy p) {
   impl_->policy = p;
@@ -201,76 +277,35 @@ std::vector<SparseSpectrum> ClusterPlan::execute_mixed(
   }
   const double host_ms = wall.ms();
 
-  cusim::ClusterSchedule cs = cluster.simulate();
+  const cusim::ClusterSchedule cs = cluster.simulate();
 
-  GpuFleetStats st;
-  st.model_ms = cs.makespan_s * 1e3;
+  std::vector<GpuDeviceShardStats> shard(cluster.devices());
+  std::vector<bool> worked(M);
+  for (std::size_t m = 0; m < M; ++m) {
+    worked[m] = !node_sigs[m].empty();
+    if (!worked[m]) continue;
+    const GpuFleetStats& fs = node_fs[m];
+    for (std::size_t d = 0; d < fs.per_device.size(); ++d) {
+      shard[impl_->base[m] + d].signals = fs.per_device[d].signals;
+      shard[impl_->base[m] + d].solo_ms = fs.per_device[d].solo_ms;
+    }
+  }
+  GpuFleetStats st = cluster_rollup(cluster, cs, std::move(shard), worked);
   st.host_ms = host_ms;
   st.signals = batch;
-  st.devices = cluster.devices();
-  st.nodes = M;
-  st.staging = cluster.staging().name();
   st.node_of = assign;
   st.device_of.assign(batch, 0);
   st.per_signal.resize(batch);
-  st.nic_transfers = cs.nic.size();
-  st.nic_bytes = cs.nic_bytes;
-  for (const cusim::NicSpan& s : cs.nic)
-    st.nic_transfer_ms += (s.finish_s - s.start_s) * 1e3;
-
-  double finish_sum = 0, finish_max = 0;
-  std::size_t busy_nodes = 0;
   for (std::size_t m = 0; m < M; ++m) {
-    const cusim::DeviceGroup& g = cluster.node(m);
-    const cusim::FleetSchedule& f = cs.node_fleet[m];
     const GpuFleetStats& fs = node_fs[m];
-    const bool ran = !node_sigs[m].empty();
     for (std::size_t j = 0; j < node_sigs[m].size(); ++j) {
       const std::size_t i = node_sigs[m][j];
       st.device_of[i] = impl_->base[m] + fs.device_of[j];
       st.per_signal[i] = fs.per_signal[j];
       st.candidates += st.per_signal[i].candidates;
     }
-    st.pipelined = st.pipelined || (ran && fs.pipelined);
-    double busy_sum = 0;
-    for (std::size_t d = 0; d < g.size(); ++d) {
-      GpuDeviceShardStats ds;
-      ds.device = g.device(d).spec().name;
-      ds.signals = ran ? fs.per_device[d].signals : 0;
-      ds.model_ms = f.finish_s[d] * 1e3;
-      ds.solo_ms = ran ? fs.per_device[d].solo_ms : 0.0;
-      ds.pcie_stall_ms = f.pcie_stall_s[d] * 1e3;
-      ds.pcie_queue_ms = f.pcie_queue_s[d] * 1e3;
-      if (st.model_ms > 0) ds.utilization = f.busy_s[d] * 1e3 / st.model_ms;
-      busy_sum += ds.utilization;
-      st.pcie_stall_ms += ds.pcie_stall_ms;
-      st.pcie_queue_ms += ds.pcie_queue_ms;
-      st.per_device.push_back(std::move(ds));
-    }
-    GpuNodeShardStats ns;
-    ns.devices = g.size();
-    ns.signals = node_sigs[m].size();
-    ns.model_ms = cs.node_finish_s[m] * 1e3;
-    ns.offset_ms = cs.node_offset_s[m] * 1e3;
-    ns.nic_stall_ms = cs.nic_stall_s[m] * 1e3;
-    ns.nic_queue_ms = cs.nic_queue_s[m] * 1e3;
-    for (const cusim::NicSpan& s : cs.nic)
-      if (s.node == m) ns.nic_bytes += s.bytes;
-    ns.utilization = g.size() > 0 ? busy_sum / g.size() : 0.0;
-    st.nic_stall_ms += ns.nic_stall_ms;
-    st.nic_queue_ms += ns.nic_queue_ms;
-    if (ran) {
-      finish_sum += ns.model_ms;
-      finish_max = std::max(finish_max, ns.model_ms);
-      ++busy_nodes;
-    }
-    st.per_node.push_back(std::move(ns));
+    st.pipelined = st.pipelined || (worked[m] && fs.pipelined);
   }
-  // Node-level imbalance: the device split inside each node is already
-  // reported by that node's own fleet stats.
-  if (busy_nodes > 0 && finish_sum > 0)
-    st.imbalance = finish_max / (finish_sum / busy_nodes);
-
   st.to_cluster_metrics(cusim::MetricsRegistry::global());
   if (stats != nullptr) *stats = std::move(st);
   return out;
@@ -325,13 +360,13 @@ SparseSpectrum ClusterPlan::execute_slab(std::span<const cplx> x,
   const std::size_t mem =
       cluster.node(0).device(0).spec().global_mem_bytes;
   if (M == 1 && slab_working_set_bytes(p) > mem)
-    throw std::runtime_error(
+    throw cusim::OutOfDeviceMemory(
         "cusfft: slab working set (" +
         std::to_string(slab_working_set_bytes(p)) +
         " bytes) exceeds device memory at nodes == 1; run on a cluster");
   const std::size_t per_node_bytes = slab_node_working_set_bytes(p, M);
   if (per_node_bytes > mem)
-    throw std::runtime_error(
+    throw cusim::OutOfDeviceMemory(
         "cusfft: slab slice still exceeds device memory; add nodes");
 
   // Same draw order as SerialPlan (comb is off, so the perm stream is
@@ -489,61 +524,23 @@ SparseSpectrum ClusterPlan::execute_slab(std::span<const cplx> x,
                 });
   const double host_ms = wall.ms();
 
-  cusim::ClusterSchedule cs = cluster.simulate();
+  const cusim::ClusterSchedule cs = cluster.simulate();
 
-  GpuFleetStats st;
-  st.model_ms = cs.makespan_s * 1e3;
+  // Every node bins its slab, but the spectrum materializes on the head
+  // node's first device.
+  std::vector<GpuDeviceShardStats> shard(cluster.devices());
+  shard[impl_->base[0]].signals = 1;
+  GpuFleetStats st = cluster_rollup(cluster, cs, std::move(shard),
+                                    std::vector<bool>(M, true));
   st.host_ms = host_ms;
   st.signals = 1;
   st.candidates = out.size();
-  st.devices = cluster.devices();
-  st.nodes = M;
-  st.staging = cluster.staging().name();
-  st.node_of = {0};  // the spectrum materializes on the head node
+  st.node_of = {0};
   st.device_of = {impl_->base[0]};
   st.per_signal.resize(1);
   st.per_signal[0].start_ms = 0;
   st.per_signal[0].end_ms = st.model_ms;
   st.per_signal[0].candidates = out.size();
-  st.nic_transfers = cs.nic.size();
-  st.nic_bytes = cs.nic_bytes;
-  for (const cusim::NicSpan& s : cs.nic)
-    st.nic_transfer_ms += (s.finish_s - s.start_s) * 1e3;
-  double finish_sum = 0, finish_max = 0;
-  for (std::size_t m = 0; m < M; ++m) {
-    const cusim::DeviceGroup& g = cluster.node(m);
-    const cusim::FleetSchedule& f = cs.node_fleet[m];
-    double busy_sum = 0;
-    for (std::size_t d = 0; d < g.size(); ++d) {
-      GpuDeviceShardStats ds;
-      ds.device = g.device(d).spec().name;
-      ds.signals = (m == 0 && d == 0) ? 1 : 0;
-      ds.model_ms = f.finish_s[d] * 1e3;
-      ds.pcie_stall_ms = f.pcie_stall_s[d] * 1e3;
-      ds.pcie_queue_ms = f.pcie_queue_s[d] * 1e3;
-      if (st.model_ms > 0) ds.utilization = f.busy_s[d] * 1e3 / st.model_ms;
-      busy_sum += ds.utilization;
-      st.pcie_stall_ms += ds.pcie_stall_ms;
-      st.pcie_queue_ms += ds.pcie_queue_ms;
-      st.per_device.push_back(std::move(ds));
-    }
-    GpuNodeShardStats ns;
-    ns.devices = g.size();
-    ns.signals = m == 0 ? 1 : 0;
-    ns.model_ms = cs.node_finish_s[m] * 1e3;
-    ns.offset_ms = cs.node_offset_s[m] * 1e3;
-    ns.nic_stall_ms = cs.nic_stall_s[m] * 1e3;
-    ns.nic_queue_ms = cs.nic_queue_s[m] * 1e3;
-    for (const cusim::NicSpan& s : cs.nic)
-      if (s.node == m) ns.nic_bytes += s.bytes;
-    ns.utilization = g.size() > 0 ? busy_sum / g.size() : 0.0;
-    st.nic_stall_ms += ns.nic_stall_ms;
-    st.nic_queue_ms += ns.nic_queue_ms;
-    finish_sum += ns.model_ms;
-    finish_max = std::max(finish_max, ns.model_ms);
-    st.per_node.push_back(std::move(ns));
-  }
-  if (finish_sum > 0) st.imbalance = finish_max / (finish_sum / M);
   st.to_cluster_metrics(cusim::MetricsRegistry::global());
   if (stats != nullptr) *stats = std::move(st);
   return out;

@@ -2,6 +2,10 @@
 // (each node one DeviceGroup), and AccFFT-style slab decomposition of one
 // signal whose working set exceeds a single device's modeled memory.
 //
+// ClusterPlan is the one GPU executor behind the C API and serve::Server
+// at every topology: a single device is the 1 node x 1 device cluster,
+// a fleet the 1 x N one.
+//
 // Two execution shapes:
 //
 //   execute_many / execute_mixed — node-level sharding. The PR 5 cost
@@ -43,7 +47,8 @@ namespace cusfft::gpu {
 
 class ClusterPlan {
  public:
-  /// One MultiGpuPlan per node (built serially, same shape/options).
+  /// One MultiGpuPlan per node (built serially, same shape/options) at the
+  /// first batch or prepare() — execute_slab never builds them.
   ClusterPlan(cusim::Cluster& cluster, sfft::Params params, Options opts);
   ~ClusterPlan();
   ClusterPlan(ClusterPlan&&) noexcept;
@@ -55,6 +60,13 @@ class ClusterPlan {
   std::size_t devices() const;  ///< total, across nodes
   cusim::Cluster& cluster();
   const sfft::Params& params() const;
+
+  /// Builds the per-node batch plans now instead of at the first batch,
+  /// for the backend params() resolves to (resolve_algorithm against
+  /// node 0's first device), so a shape that cannot fit device memory
+  /// fails here (cusim::OutOfDeviceMemory from GpuPlan or the picker's
+  /// calibration) rather than mid-execute. Idempotent.
+  void prepare();
 
   /// Forwards to every node's MultiGpuPlan (intra-node assignment).
   void set_shard_policy(ShardPolicy p);
@@ -81,9 +93,9 @@ class ClusterPlan {
 
   /// Slab decomposition of one signal (see file comment). Requires
   /// params().comb == false (the Comb prefilter needs the whole signal
-  /// resident). Throws std::runtime_error when the working set exceeds
-  /// one device's memory and nodes() == 1 — the run that is impossible
-  /// without the cluster.
+  /// resident). Throws cusim::OutOfDeviceMemory when the working set
+  /// exceeds one device's memory and nodes() == 1 — the run that is
+  /// impossible without the cluster.
   SparseSpectrum execute_slab(std::span<const cplx> x,
                               GpuFleetStats* stats = nullptr);
 

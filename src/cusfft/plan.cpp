@@ -852,7 +852,7 @@ GpuPlan::GpuPlan(cusim::Device& dev, sfft::Params params, Options opts)
       for (const auto& st : im.ffast_stages)
         bytes += 2.0 * sfft::kFfastShifts * st.bins * cxb;  // planes + FFT
       if (bytes > static_cast<double>(dev.spec().global_mem_bytes))
-        throw std::runtime_error(
+        throw cusim::OutOfDeviceMemory(
             "GpuPlan: plan needs " + std::to_string(bytes / 1e9) +
             " GB device memory, exceeding the device's " +
             std::to_string(dev.spec().global_mem_bytes / 1e9) + " GB");
@@ -904,7 +904,7 @@ GpuPlan::GpuPlan(cusim::Device& dev, sfft::Params params, Options opts)
     if (opts.binning == Binning::kAsyncTransform)
       bytes += 2.0 * w_pad_est * cxb;     // chunks + partials
     if (bytes > static_cast<double>(dev.spec().global_mem_bytes))
-      throw std::runtime_error(
+      throw cusim::OutOfDeviceMemory(
           "GpuPlan: plan needs " + std::to_string(bytes / 1e9) +
           " GB device memory, exceeding the device's " +
           std::to_string(dev.spec().global_mem_bytes / 1e9) + " GB");

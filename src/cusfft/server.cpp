@@ -16,7 +16,6 @@
 #include <utility>
 
 #include "core/rng.hpp"
-#include "cusfft/cluster_plan.hpp"
 #include "cusim/cluster.hpp"
 #include "cusim/metrics.hpp"
 #include "signal/generate.hpp"
@@ -193,13 +192,12 @@ struct Server::Impl {
 
   std::size_t n_submitted = 0, n_completed = 0, n_shed = 0, n_rejected = 0;
 
-  // Fleet, built lazily at the first batch launch. Only the thread that
-  // launches batches touches it (the caller in virtual mode, the batcher
-  // thread in threaded mode).
-  std::unique_ptr<cusim::DeviceGroup> group;
-  std::unique_ptr<gpu::MultiGpuPlan> mplan;
-  std::unique_ptr<cusim::Cluster> cluster;  // cfg.nodes > 1
-  std::unique_ptr<gpu::ClusterPlan> cplan;  // cfg.nodes > 1
+  // The cfg.nodes x cfg.devices cluster and its plan, built lazily at the
+  // first batch launch. Only the thread that launches batches touches
+  // them (the caller in virtual mode, the batcher thread in threaded
+  // mode).
+  std::unique_ptr<cusim::Cluster> cluster;
+  std::unique_ptr<gpu::ClusterPlan> plan;
 
   // Cached handles into the global registry (hot-path contract).
   cusim::Counter& m_req_lat;
@@ -386,32 +384,22 @@ struct Server::Impl {
 
   // ---- execution ------------------------------------------------------
 
-  void ensure_fleet(const sfft::Params& shape) {
-    if (group || cplan) return;
-    if (cfg.nodes > 1) {
-      cluster = std::make_unique<cusim::Cluster>(cfg.nodes, cfg.devices);
-      cplan = std::make_unique<gpu::ClusterPlan>(*cluster, shape, cfg.opts);
-      cplan->set_shard_policy(cfg.shard_policy);
-      return;
-    }
-    group = std::make_unique<cusim::DeviceGroup>(cfg.devices);
-    mplan = std::make_unique<gpu::MultiGpuPlan>(*group, shape, cfg.opts);
-    mplan->set_shard_policy(cfg.shard_policy);
-  }
-
   // Device-side work only — reads b.run, never queue state, so the
   // threaded path may call it with the lock released.
   gpu::GpuFleetStats run_batch(const Batch& b,
                                std::vector<SparseSpectrum>& out) {
-    ensure_fleet(b.run.front().params);
+    if (!plan) {
+      cluster = std::make_unique<cusim::Cluster>(cfg.nodes, cfg.devices);
+      plan = std::make_unique<gpu::ClusterPlan>(
+          *cluster, b.run.front().params, cfg.opts);
+      plan->set_shard_policy(cfg.shard_policy);
+    }
     std::vector<gpu::MixedSignal> mix;
     mix.reserve(b.run.size());
     for (const Pend& p : b.run)
       mix.push_back({std::span<const cplx>(p.x), p.params});
     gpu::GpuFleetStats fs;
-    out = cplan != nullptr
-              ? cplan->execute_mixed(mix, &fs, gpu::BatchMode::kAuto)
-              : mplan->execute_mixed(mix, &fs, gpu::BatchMode::kAuto);
+    out = plan->execute_mixed(mix, &fs, gpu::BatchMode::kAuto);
     return fs;
   }
 
@@ -568,7 +556,7 @@ struct Server::Impl {
 
   void require_virtual() const {
     if (running)
-      throw std::logic_error(
+      throw std::invalid_argument(
           "serve::Server: virtual-clock calls (submit_at/advance/drain) are "
           "illegal while the batcher thread runs; stop() first");
   }
@@ -627,7 +615,7 @@ void Server::stop() {
 u64 Server::submit(Request r) {
   std::lock_guard<std::mutex> lk(impl_->mu);
   if (!impl_->running)
-    throw std::logic_error(
+    throw std::invalid_argument(
         "serve::Server::submit: batcher not running; start() first (or "
         "drive the virtual clock with submit_at)");
   const u64 id = impl_->admit(impl_->now, std::move(r));

@@ -1,10 +1,11 @@
-// Multi-tenant serving tier above the fleet: cusfft::serve::Server turns
-// the pre-formed-batch MultiGpuPlan API into a service. Tenants submit
-// individual requests (per-request sfft::Params, a latency- or
+// Multi-tenant serving tier above the GPU executor: cusfft::serve::Server
+// turns the pre-formed-batch ClusterPlan API into a service. Tenants
+// submit individual requests (per-request sfft::Params, a latency- or
 // throughput-class SLO, an optional deadline); a dynamic batcher coalesces
-// whatever is in flight into MultiGpuPlan::execute_mixed calls —
-// inference-server-style continuous batching with a shape-keyed plan cache
-// shared across tenants (the MultiGpuPlan's own per-device cache).
+// whatever is in flight into ClusterPlan::execute_mixed calls on a
+// nodes x devices cluster (1 x 1 by default) — inference-server-style
+// continuous batching with a shape-keyed plan cache shared across tenants
+// (each device's own plan cache).
 //
 // Admission control is per tenant and bounded: a tenant with
 // tenant_queue_depth requests already pending has its next submission
@@ -56,7 +57,7 @@
 #include <string>
 #include <vector>
 
-#include "cusfft/multi_plan.hpp"
+#include "cusfft/cluster_plan.hpp"
 #include "sfft/params.hpp"
 
 namespace cusfft::serve {
@@ -87,9 +88,8 @@ struct Request {
 
 /// Server knobs. All virtual-clock quantities are milliseconds.
 struct ServerConfig {
-  std::size_t devices = 1;      ///< simulated fleet size (per node)
-  std::size_t nodes = 1;        ///< cluster size; > 1 serves on a
-                                ///< ClusterPlan (devices per node)
+  std::size_t devices = 1;      ///< simulated devices per node
+  std::size_t nodes = 1;        ///< simulated nodes (NIC-joined hosts)
   std::size_t max_batch = 8;    ///< size batch-close trigger
   double max_wait_latency_ms = 1.0;     ///< kLatency close window
   double max_wait_throughput_ms = 8.0;  ///< kThroughput close window
@@ -169,11 +169,11 @@ struct GpuServeStats {
 
 class Server {
  public:
-  /// Validates cfg (throws std::invalid_argument). The fleet
-  /// (DeviceGroup + MultiGpuPlan) is built lazily at the first batch
-  /// launch, shaped by that batch's first request; later shapes go
-  /// through the MultiGpuPlan's shape-keyed plan cache, shared across
-  /// tenants.
+  /// Validates cfg (throws std::invalid_argument). The cluster
+  /// (cusim::Cluster + gpu::ClusterPlan, cfg.nodes x cfg.devices) is
+  /// built lazily at the first batch launch, shaped by that batch's first
+  /// request; later shapes go through the per-device shape-keyed plan
+  /// cache, shared across tenants.
   explicit Server(ServerConfig cfg);
   ~Server();  // stops the batcher thread if running
   Server(const Server&) = delete;
@@ -187,8 +187,8 @@ class Server {
   /// arrivals must be submitted in nondecreasing t). Batches that close
   /// before t launch first — continuous batching never sees the future.
   /// Returns the request id (also for rejected submissions — the typed
-  /// rejection is the terminal Response). Throws std::logic_error while
-  /// the batcher thread is running.
+  /// rejection is the terminal Response). Throws std::invalid_argument
+  /// (API misuse) while the batcher thread is running.
   u64 submit_at(double t_ms, Request r);
 
   /// Launches every batch whose close time is <= t_ms, advancing the

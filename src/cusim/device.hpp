@@ -34,6 +34,14 @@ namespace cusfft::cusim {
 
 struct CaptureProfile;  // profiler.hpp
 
+/// A plan's modeled working set exceeds the GpuSpec's global memory (where
+/// cudaMalloc would fail). Kept apart from the other runtime errors
+/// (deadlocked timelines, graph-verify divergence) so front ends can report
+/// it as an allocation failure.
+struct OutOfDeviceMemory : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
 /// A named phase boundary inside a capture (cudaEvent + label). A
 /// device-wide annotation's phase spans from its event time to the next
 /// device-wide annotation's (or the makespan). A stream-scoped annotation

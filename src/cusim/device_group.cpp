@@ -56,6 +56,59 @@ FleetSchedule DeviceGroup::simulate() {
   fs.pcie_stall_s.assign(ndev, 0.0);
   fs.pcie_queue_s.assign(ndev, 0.0);
 
+  // Per-device rollup of the replayed schedule: finish, busy time and the
+  // PCIe stall against each device's own schedule.
+  auto rollup = [&] {
+    for (std::size_t d = 0; d < ndev; ++d) {
+      Device& dev = *devices_[d].dev;
+      const auto& items = dev.timeline().items();
+      // Busy time = union of kernel intervals (time with >= 1 kernel
+      // resident), so busy_s/makespan is a true [0, 1] utilization —
+      // summing spans would double-count concurrent kernels.
+      std::vector<std::pair<double, double>> spans;
+      for (std::size_t i = 0; i < items.size(); ++i) {
+        fs.finish_s[d] = std::max(fs.finish_s[d], fs.items[d][i].finish_s);
+        if (items[i].resource == Resource::kDeviceMemory)
+          spans.emplace_back(fs.items[d][i].start_s, fs.items[d][i].finish_s);
+      }
+      std::sort(spans.begin(), spans.end());
+      double cover_end = -1.0;
+      for (const auto& [s0, s1] : spans) {
+        if (s0 > cover_end) {
+          fs.busy_s[d] += s1 - s0;
+          cover_end = s1;
+        } else if (s1 > cover_end) {
+          fs.busy_s[d] += s1 - cover_end;
+          cover_end = s1;
+        }
+      }
+      // Contention stall: merged copy durations vs the device's own
+      // (contention-free) schedule of the same items.
+      dev.elapsed_model_ms();  // ensures the solo schedule is computed
+      const auto& solo = dev.timeline().schedule();
+      for (std::size_t i = 0; i < items.size(); ++i) {
+        if (items[i].resource != Resource::kPcie) continue;
+        const double merged =
+            fs.items[d][i].finish_s - fs.items[d][i].start_s;
+        const double alone = solo[i].finish_s - solo[i].start_s;
+        fs.pcie_stall_s[d] += std::max(0.0, merged - alone);
+      }
+    }
+  };
+
+  if (ndev == 1 && staging_.kind == PcieStaging::Kind::kUnlimited) {
+    // One device has nobody to contend with, so the merge is its own
+    // Timeline::simulate() step for step (MultiGpu.
+    // SingleDeviceGroupHasNoContention pins this). That replay is cached,
+    // so a 1-device batch and its profile reuse it instead of replaying
+    // every item again.
+    Timeline& tl = devices_[0].dev->timeline();
+    fs.makespan_s = tl.simulate();
+    fs.items[0] = tl.schedule();
+    rollup();
+    return fs;
+  }
+
   struct Node {
     const TimelineItem* it = nullptr;
     unsigned dev = 0;
@@ -232,42 +285,7 @@ FleetSchedule DeviceGroup::simulate() {
     t += dt;
   }
   fs.makespan_s = t;
-
-  for (std::size_t d = 0; d < ndev; ++d) {
-    Device& dev = *devices_[d].dev;
-    const auto& items = dev.timeline().items();
-    // Busy time = union of kernel intervals (time with >= 1 kernel
-    // resident), so busy_s/makespan is a true [0, 1] utilization —
-    // summing spans would double-count concurrent kernels.
-    std::vector<std::pair<double, double>> spans;
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      fs.finish_s[d] = std::max(fs.finish_s[d], fs.items[d][i].finish_s);
-      if (items[i].resource == Resource::kDeviceMemory)
-        spans.emplace_back(fs.items[d][i].start_s, fs.items[d][i].finish_s);
-    }
-    std::sort(spans.begin(), spans.end());
-    double cover_end = -1.0;
-    for (const auto& [s0, s1] : spans) {
-      if (s0 > cover_end) {
-        fs.busy_s[d] += s1 - s0;
-        cover_end = s1;
-      } else if (s1 > cover_end) {
-        fs.busy_s[d] += s1 - cover_end;
-        cover_end = s1;
-      }
-    }
-    // Contention stall: merged copy durations vs the device's own
-    // (contention-free) schedule of the same items.
-    dev.elapsed_model_ms();  // ensures the solo schedule is computed
-    const auto& solo = dev.timeline().schedule();
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      if (items[i].resource != Resource::kPcie) continue;
-      const double merged =
-          fs.items[d][i].finish_s - fs.items[d][i].start_s;
-      const double alone = solo[i].finish_s - solo[i].start_s;
-      fs.pcie_stall_s[d] += std::max(0.0, merged - alone);
-    }
-  }
+  rollup();
   return fs;
 }
 

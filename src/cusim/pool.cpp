@@ -16,7 +16,15 @@ u64 allocate_device_range(u64 bytes) {
   const u64 aligned = (bytes + 255) & ~u64{255};
   return next.fetch_add(aligned + 256);
 }
+
+thread_local unsigned t_lane = 0;
 }  // namespace
+
+BufferPool::LaneScope::LaneScope(unsigned lane) : prev_(t_lane) {
+  t_lane = lane;
+}
+
+BufferPool::LaneScope::~LaneScope() { t_lane = prev_; }
 
 BufferPool::Block BufferPool::acquire(std::size_t bytes) {
   const u64 cap = std::max<u64>(256, (static_cast<u64>(bytes) + 255) &
@@ -26,8 +34,9 @@ BufferPool::Block BufferPool::acquire(std::size_t bytes) {
     bool hit = false;
     {
       std::lock_guard lk(mu_);
-      auto it = free_.lower_bound(cap);
-      if (it != free_.end() && it->first <= 2 * cap) {
+      auto it = free_.lower_bound({t_lane, cap});
+      if (it != free_.end() && it->first.first == t_lane &&
+          it->first.second <= 2 * cap) {
         b = std::move(it->second.back());
         it->second.pop_back();
         if (it->second.empty()) free_.erase(it);
@@ -50,6 +59,7 @@ BufferPool::Block BufferPool::acquire(std::size_t bytes) {
   b.cap = cap;
   b.bytes.assign(cap, std::byte{0});
   b.base = allocate_device_range(cap);
+  b.lane = t_lane;
   return b;
 }
 
@@ -65,17 +75,17 @@ void BufferPool::release(Block&& b) {
     return;  // frees b
   }
   std::lock_guard lk(mu_);
-  free_[b.cap].push_back(std::move(b));
+  free_[{b.lane, b.cap}].push_back(std::move(b));
 }
 
 void BufferPool::trim() {
-  std::map<u64, std::vector<Block>> doomed;
+  std::map<std::pair<unsigned, u64>, std::vector<Block>> doomed;
   {
     std::lock_guard lk(mu_);
     doomed.swap(free_);
     u64 parked = 0;
-    for (const auto& [cap, blocks] : doomed)
-      parked += cap * blocks.size();
+    for (const auto& [key, blocks] : doomed)
+      parked += key.second * blocks.size();
     bytes_pooled_.fetch_sub(parked, std::memory_order_relaxed);
   }
   // Destructors (the actual frees) run after the lock is dropped.

@@ -11,12 +11,20 @@
 // memset on acquire (the expensive part for MB-sized blocks) runs outside
 // the lock, and stats are plain atomics so stats() never contends with the
 // worker threads that acquire scratch buffers mid-capture.
+//
+// Lanes: the free lists are partitioned by lane. A thread acquires from
+// its current lane (0 unless a LaneScope is live) and a block always
+// parks back on the lane it was acquired on. Concurrent fleet shards each
+// run on their own lane, so which parked blocks a shard reuses — and the
+// allocation/reuse split its capture reports — never depends on how the
+// shard threads interleave.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <map>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "core/types.hpp"
@@ -32,6 +40,20 @@ class BufferPool {
     std::vector<std::byte> bytes;
     u64 base = 0;  // simulated device address of bytes[0]
     u64 cap = 0;   // capacity in bytes (256-byte multiple); 0 == empty
+    unsigned lane = 0;  // free-list lane it parks on when released
+  };
+
+  /// Puts the calling thread on `lane` for the scope's lifetime (restoring
+  /// the previous lane on exit).
+  class LaneScope {
+   public:
+    explicit LaneScope(unsigned lane);
+    ~LaneScope();
+    LaneScope(const LaneScope&) = delete;
+    LaneScope& operator=(const LaneScope&) = delete;
+
+   private:
+    unsigned prev_;
   };
 
   struct Stats {
@@ -56,13 +78,13 @@ class BufferPool {
     }
   };
 
-  /// Returns a zeroed block of at least `bytes` capacity — from the free
-  /// list when a fit exists (capacity within 2x of the request), otherwise
-  /// freshly allocated.
+  /// Returns a zeroed block of at least `bytes` capacity — from the calling
+  /// thread's lane when a fit exists there (capacity within 2x of the
+  /// request), otherwise freshly allocated.
   Block acquire(std::size_t bytes);
 
-  /// Parks a block for reuse; frees it instead when pooling is disabled or
-  /// the pooled-bytes budget would be exceeded.
+  /// Parks a block for reuse on its own lane; frees it instead when
+  /// pooling is disabled or the pooled-bytes budget would be exceeded.
   void release(Block&& b);
 
   /// Frees every parked block (the free list only; live buffers are
@@ -81,7 +103,8 @@ class BufferPool {
 
  private:
   mutable std::mutex mu_;
-  std::map<u64, std::vector<Block>> free_;  // size class (capacity) -> blocks
+  // (lane, size class = capacity) -> parked blocks
+  std::map<std::pair<unsigned, u64>, std::vector<Block>> free_;
 
   // Counters live outside the mutex: bytes_pooled_ is adjusted with a
   // reserve-then-insert protocol in release() so the parked total never

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace cusfft::cusim {
 
@@ -196,7 +197,14 @@ double Timeline::simulate() {
       // compute phase keeps running — that is also an event.
       if (st[i].mem_left > kEps) dt = std::min(dt, st[i].mem_left * share);
     }
-    if (!std::isfinite(dt)) break;  // nothing runnable: defensive stop
+    if (!std::isfinite(dt)) {
+      // Nothing is runnable yet items remain (a cyclic or self dependency
+      // in hand-built items): breaking would under-report the makespan.
+      throw std::runtime_error(
+          "Timeline::simulate: deadlock — " +
+          std::to_string(n - done_count) + " of " + std::to_string(n) +
+          " items can never start (unsatisfiable dependencies)");
+    }
     dt = std::max(dt, 0.0);
 
     // Advance everything by dt and retire finished items.

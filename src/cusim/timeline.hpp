@@ -106,7 +106,9 @@ class Timeline {
   /// explicit deps (wait_event). Across streams up to
   /// `max_concurrent_kernels` device kernels run concurrently and share
   /// memory bandwidth equally (an item's memory phase dilates by the number
-  /// of co-running items on its resource). Returns the makespan in seconds.
+  /// of co-running items on its resource). Returns the makespan in seconds;
+  /// throws std::runtime_error when some item can never start (a dependency
+  /// cycle), like DeviceGroup::simulate.
   double simulate();
 
   /// Per-item schedule from the last simulate() call.

@@ -1,19 +1,27 @@
 // Tests for the C API façade: plan lifecycle, every backend, error paths,
-// capacity truncation, and seed control — all through the extern "C"
-// surface only.
+// capacity truncation, and seed control — driven through the extern "C"
+// surface, and cross-checked against the C++ executor it wraps.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <new>
+#include <span>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "capi/cusfft.h"
+#include "capi/status.hpp"
 #include "core/json_lite.hpp"
 #include "core/metrics.hpp"
 #include "core/rng.hpp"
+#include "cusfft/cluster_plan.hpp"
+#include "cusim/device.hpp"
+#include "cusim/profiler.hpp"
 #include "signal/generate.hpp"
 
 namespace {
@@ -31,6 +39,92 @@ CWorkload make_workload(std::size_t n, std::size_t k, cusfft::u64 seed) {
   cusfft::Rng rng(seed);
   auto sig = cusfft::signal::make_sparse_signal(n, k, rng);
   return {sig.x, cusfft::densify(sig.truth, n), n, k};
+}
+
+/// A batch of workloads plus the back-to-back interleaved layout
+/// cusfft_execute_many takes.
+struct CBatch {
+  std::vector<CWorkload> ws;
+  std::vector<std::span<const cplx>> views;
+  std::vector<double> interleaved;
+
+  CBatch(std::size_t count, std::size_t n, std::size_t k, cusfft::u64 seed0) {
+    for (std::size_t i = 0; i < count; ++i)
+      ws.push_back(make_workload(n, k, seed0 + i));
+    for (const CWorkload& w : ws) {
+      views.emplace_back(w.x);
+      const double* d = reinterpret_cast<const double*>(w.x.data());
+      interleaved.insert(interleaved.end(), d, d + 2 * n);
+    }
+  }
+};
+
+std::vector<cusfft::SparseSpectrum> capi_execute_many(cusfft_handle h,
+                                                      const CBatch& b,
+                                                      std::size_t cap) {
+  const std::size_t batch = b.ws.size();
+  std::vector<uint64_t> locs(batch * cap);
+  std::vector<double> vals(2 * batch * cap);
+  std::vector<std::size_t> counts(batch);
+  EXPECT_EQ(cusfft_execute_many(h, b.interleaved.data(), batch, cap,
+                                locs.data(), vals.data(), counts.data()),
+            CUSFFT_SUCCESS);
+  std::vector<cusfft::SparseSpectrum> out(batch);
+  for (std::size_t i = 0; i < batch; ++i)
+    for (std::size_t j = 0; j < counts[i]; ++j)
+      out[i].push_back({locs[i * cap + j], cplx{vals[2 * (i * cap + j)],
+                                               vals[2 * (i * cap + j) + 1]}});
+  return out;
+}
+
+void expect_same_spectra(const std::vector<cusfft::SparseSpectrum>& a,
+                         const std::vector<cusfft::SparseSpectrum>& b,
+                         const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i].size(), b[i].size()) << what << " signal " << i;
+    for (std::size_t j = 0; j < a[i].size(); ++j) {
+      EXPECT_EQ(a[i][j].loc, b[i][j].loc) << what << " signal " << i;
+      EXPECT_EQ(a[i][j].val, b[i][j].val) << what << " signal " << i;
+    }
+  }
+}
+
+std::string capi_profile_json(cusfft_handle h) {
+  std::size_t len = 0;
+  EXPECT_EQ(cusfft_profile_json(h, nullptr, 0, &len), CUSFFT_SUCCESS);
+  std::vector<char> buf(len);
+  EXPECT_EQ(cusfft_profile_json(h, buf.data(), buf.size(), &len),
+            CUSFFT_SUCCESS);
+  return std::string(buf.data());
+}
+
+/// Reads one counter (full series name, labels included) from the global
+/// metrics snapshot; 0 when it was never registered.
+double counter_value(const std::string& series) {
+  size_t len = 0;
+  EXPECT_EQ(cusfft_metrics_json(nullptr, 0, &len), CUSFFT_SUCCESS);
+  std::string doc(len, '\0');
+  EXPECT_EQ(cusfft_metrics_json(doc.data(), doc.size(), &len),
+            CUSFFT_SUCCESS);
+  cusfft::json::Value v;
+  std::string err;
+  EXPECT_TRUE(cusfft::json::parse(doc.c_str(), v, &err)) << err;
+  const cusfft::json::Value* counters = v.find("counters");
+  return counters != nullptr ? counters->number_or(series, 0.0) : 0.0;
+}
+
+// Reads cusfft_algo_signals_total{algo="<name>"} from the global metrics
+// snapshot — the observable that proves which backend actually ran.
+double algo_signals(const char* algo_name) {
+  return counter_value(std::string("cusfft_algo_signals_total{algo=\"") +
+                       algo_name + "\"}");
+}
+
+// Picker decisions so far, over both backends.
+double algo_picks() {
+  return counter_value("cusfft_algo_picks_total{algo=\"cusfft\"}") +
+         counter_value("cusfft_algo_picks_total{algo=\"ffast\"}");
 }
 
 class CApiBackends : public ::testing::TestWithParam<cusfft_backend> {};
@@ -470,6 +564,150 @@ TEST(CApi, NodeCountRoutesThroughClusterBitIdentically) {
   EXPECT_EQ(cusfft_destroy(h), CUSFFT_SUCCESS);
 }
 
+TEST(CApi, OneByOneHandleIsTheClusterExecutor) {
+  // The default GPU handle is not a separate single-device path: it is
+  // the 1 node x 1 device ClusterPlan, so its spectra, stats and capture
+  // artifact are byte-identical to driving that executor directly.
+  constexpr std::size_t kBatch = 4, kCap = 64;
+  const std::size_t n = 1 << 12, k = 8;
+  const CBatch b(kBatch, n, k, 880);
+
+  cusfft_handle h = nullptr;
+  ASSERT_EQ(cusfft_plan(&h, n, k, CUSFFT_BACKEND_GPU_OPTIMIZED),
+            CUSFFT_SUCCESS);
+  cusfft::sfft::Params p;
+  p.n = n;
+  p.k = k;
+  cusfft::cusim::Cluster cluster(1, 1);
+  cusfft::gpu::ClusterPlan plan(cluster, p,
+                                cusfft::gpu::Options::optimized());
+  // Warm both sides (process-global pool, pipeline buffers, captured
+  // graphs) so the compared captures see identical pool deltas.
+  capi_execute_many(h, b, kCap);
+  plan.execute_many(b.views);
+
+  const auto got = capi_execute_many(h, b, kCap);
+  cusfft_fleet_stats fs;
+  ASSERT_EQ(cusfft_get_fleet_stats(h, &fs), CUSFFT_SUCCESS);
+  const std::string trace = capi_profile_json(h);
+
+  cusfft::gpu::GpuFleetStats want_fs;
+  const auto want = plan.execute_many(b.views, &want_fs);
+  const std::string want_trace = cluster.end_capture().chrome_trace_json();
+
+  for (const auto& s : want) ASSERT_LE(s.size(), kCap);  // none truncated
+  expect_same_spectra(got, want, "C API 1x1 vs ClusterPlan");
+  EXPECT_EQ(fs.devices, 1u);
+  EXPECT_EQ(fs.signals, kBatch);
+  EXPECT_EQ(fs.model_ms, want_fs.model_ms);
+  EXPECT_EQ(fs.imbalance, want_fs.imbalance);
+  EXPECT_EQ(trace, want_trace);
+
+  // Utilization is the device's busy fraction of the merged schedule.
+  double util = -1;
+  ASSERT_EQ(cusfft_get_device_utilization(h, 0, &util), CUSFFT_SUCCESS);
+  EXPECT_EQ(util, want_fs.per_device[0].utilization);
+  EXPECT_EQ(cusfft_destroy(h), CUSFFT_SUCCESS);
+}
+
+TEST(CApi, AutoPicksAtRebuildAndPerSignalAtEveryTopology) {
+  // AUTO follows one rule at every topology: a rebuild makes one pick and
+  // builds the plans of the picked backend, and every signal of every
+  // execute makes one more — landing on those plans. Spectra and pick
+  // counts therefore cannot depend on the device or node count.
+  ::unsetenv("CUSFFT_ALGO");
+  ::unsetenv("CUSFFT_AUTOPICK");
+  constexpr std::size_t kBatch = 4, kCap = 64;
+  const std::size_t n = 1 << 12, k = 8;
+  const CBatch b(kBatch, n, k, 940);
+  const std::string ffast_picks = "cusfft_algo_picks_total{algo=\"ffast\"}";
+
+  std::vector<cusfft::SparseSpectrum> first;
+  const std::pair<std::size_t, std::size_t> topologies[] = {
+      {1, 1}, {1, 2}, {2, 2}};
+  for (const auto& [nodes, devices] : topologies) {
+    const std::string topo =
+        std::to_string(nodes) + "x" + std::to_string(devices);
+    cusfft_handle h = nullptr;
+    ASSERT_EQ(cusfft_plan(&h, n, k, CUSFFT_BACKEND_GPU_OPTIMIZED),
+              CUSFFT_SUCCESS);
+    ASSERT_EQ(cusfft_set_device_count(h, devices), CUSFFT_SUCCESS);
+    ASSERT_EQ(cusfft_set_node_count(h, nodes), CUSFFT_SUCCESS);
+    const double picks = algo_picks();
+    const double ffast0 = counter_value(ffast_picks);
+    ASSERT_EQ(cusfft_set_algorithm(h, CUSFFT_ALGO_AUTO), CUSFFT_SUCCESS);
+    EXPECT_EQ(algo_picks(), picks + 1) << topo << ": one pick per rebuild";
+    // The rebuild's pick names the backend its plans were built for.
+    const bool plans_ffast = counter_value(ffast_picks) > ffast0;
+    const char* planned = plans_ffast ? "ffast" : "cusfft";
+    const double ran0 = algo_signals(planned);
+
+    const auto got = capi_execute_many(h, b, kCap);
+    EXPECT_EQ(algo_picks(), picks + 1 + kBatch)
+        << topo << ": one pick per signal";
+    EXPECT_EQ(algo_signals(planned), ran0 + kBatch)
+        << topo << ": every signal ran on the " << planned
+        << " plans the rebuild built";
+    for (std::size_t i = 0; i < kBatch; ++i)
+      EXPECT_DOUBLE_EQ(
+          cusfft::location_recall(got[i], b.ws[i].oracle, k), 1.0)
+          << topo << " signal " << i;
+    if (first.empty()) first = got;
+    expect_same_spectra(got, first, topo);
+    EXPECT_EQ(cusfft_destroy(h), CUSFFT_SUCCESS);
+  }
+}
+
+TEST(CApi, BackendThatCannotFitFailsThePlanCall) {
+  // GPU handles build the plans of the algorithm that will run when they
+  // are configured, so a shape that cannot fit device memory is an
+  // ALLOC_FAILED from cusfft_plan — whether CUSFFT_ALGO or the picker
+  // chose the backend. 2^30 points need 16 GiB for the signal alone
+  // against the K20x's 6 GB; the check runs before anything that size is
+  // allocated.
+  const std::size_t n = std::size_t{1} << 30, k = 1000;
+  cusfft_handle h = nullptr;
+  ::setenv("CUSFFT_ALGO", "ffast", 1);
+  EXPECT_EQ(cusfft_plan(&h, n, k, CUSFFT_BACKEND_GPU_OPTIMIZED),
+            CUSFFT_ALLOC_FAILED);
+  EXPECT_EQ(h, nullptr);
+  // The modeled picker prices both backends without running them (the
+  // measured one would calibrate on a synthetic signal of this size).
+  ::setenv("CUSFFT_ALGO", "auto", 1);
+  ::setenv("CUSFFT_AUTOPICK", "modeled", 1);
+  const double picks = algo_picks();
+  EXPECT_EQ(cusfft_plan(&h, n, k, CUSFFT_BACKEND_GPU_OPTIMIZED),
+            CUSFFT_ALLOC_FAILED);
+  EXPECT_EQ(algo_picks(), picks + 1) << "the picked backend's plan failed";
+  EXPECT_EQ(h, nullptr);
+  ::unsetenv("CUSFFT_ALGO");
+  ::unsetenv("CUSFFT_AUTOPICK");
+}
+
+TEST(CApi, ExceptionStatusSplit) {
+  // Only malformed input and API misuse (std::invalid_argument) is the
+  // caller's fault; simulator invariants that throw another logic_error
+  // are internal errors, and memory exhaustion is an allocation failure.
+  auto status_of = [](auto e) {
+    try {
+      throw e;
+    } catch (...) {
+      return cusfft::capi::current_exception_status();
+    }
+  };
+  EXPECT_EQ(status_of(std::invalid_argument("bad n")),
+            CUSFFT_INVALID_ARGUMENT);
+  EXPECT_EQ(status_of(std::out_of_range("unknown event")),
+            CUSFFT_INTERNAL_ERROR);
+  EXPECT_EQ(status_of(std::logic_error("metric kind conflict")),
+            CUSFFT_INTERNAL_ERROR);
+  EXPECT_EQ(status_of(std::runtime_error("deadlock")), CUSFFT_INTERNAL_ERROR);
+  EXPECT_EQ(status_of(std::bad_alloc()), CUSFFT_ALLOC_FAILED);
+  EXPECT_EQ(status_of(cusfft::cusim::OutOfDeviceMemory("6 GB")),
+            CUSFFT_ALLOC_FAILED);
+  EXPECT_EQ(status_of(42), CUSFFT_INTERNAL_ERROR);
+}
+
 TEST(CApi, ExecuteManyErrorPaths) {
   cusfft_handle h = nullptr;
   ASSERT_EQ(cusfft_plan(&h, 1 << 10, 4, CUSFFT_BACKEND_SERIAL),
@@ -633,7 +871,8 @@ TEST(CApi, ProfileWriteAndCpuBackendHasNone) {
 
 TEST(CApi, MetricsJsonSizeQueryThenFetch) {
   // Drive some traffic through the GPU backend so the registry is
-  // non-empty, then exercise the buf/cap/len protocol.
+  // non-empty, then exercise the buf/cap/len protocol. A C-API execute is
+  // a batch of one on the plan's cluster, so it lands in the fleet family.
   const auto w = make_workload(1 << 12, 8, 77);
   cusfft_handle h = nullptr;
   ASSERT_EQ(cusfft_plan(&h, w.n, w.k, CUSFFT_BACKEND_GPU_OPTIMIZED), CUSFFT_SUCCESS);
@@ -657,7 +896,7 @@ TEST(CApi, MetricsJsonSizeQueryThenFetch) {
   doc.resize(len - 1);  // drop the NUL
   EXPECT_NE(doc.find("\"schema\": \"cusfft-metrics-v1\""),
             std::string::npos);
-  EXPECT_NE(doc.find("cusfft_executes_total"), std::string::npos);
+  EXPECT_NE(doc.find("cusfft_fleet_batches_total"), std::string::npos);
 
   // The Prometheus exposition goes through the same protocol.
   size_t tlen = 0;
@@ -665,7 +904,7 @@ TEST(CApi, MetricsJsonSizeQueryThenFetch) {
   std::string text(tlen, '\0');
   ASSERT_EQ(cusfft_metrics_text(text.data(), text.size(), &tlen),
             CUSFFT_SUCCESS);
-  EXPECT_NE(text.find("# TYPE cusfft_executes_total counter"),
+  EXPECT_NE(text.find("# TYPE cusfft_fleet_batches_total counter"),
             std::string::npos);
 
   EXPECT_EQ(cusfft_metrics_json(nullptr, 0, nullptr),
@@ -695,28 +934,11 @@ TEST(CApi, MetricsWriteAndReset) {
   std::string doc(len, '\0');
   ASSERT_EQ(cusfft_metrics_json(doc.data(), doc.size(), &len),
             CUSFFT_SUCCESS);
-  if (doc.find("cusfft_executes_total") != std::string::npos) {
-    EXPECT_NE(doc.find("\"cusfft_executes_total\": 0"), std::string::npos)
+  if (doc.find("cusfft_fleet_batches_total") != std::string::npos) {
+    EXPECT_NE(doc.find("\"cusfft_fleet_batches_total\": 0"),
+              std::string::npos)
         << "after reset, a registered counter must read 0";
   }
-}
-
-// Reads cusfft_algo_executes_total{algo="<name>"} from the global metrics
-// snapshot — the observable that proves which backend actually ran.
-double algo_execs(const char* algo_name) {
-  size_t len = 0;
-  EXPECT_EQ(cusfft_metrics_json(nullptr, 0, &len), CUSFFT_SUCCESS);
-  std::string doc(len, '\0');
-  EXPECT_EQ(cusfft_metrics_json(doc.data(), doc.size(), &len),
-            CUSFFT_SUCCESS);
-  cusfft::json::Value v;
-  std::string err;
-  EXPECT_TRUE(cusfft::json::parse(doc.c_str(), v, &err)) << err;
-  const cusfft::json::Value* counters = v.find("counters");
-  if (counters == nullptr) return 0.0;
-  return counters->number_or(
-      std::string("cusfft_algo_executes_total{algo=\"") + algo_name + "\"}",
-      0.0);
 }
 
 cusfft::SparseSpectrum capi_execute(cusfft_handle h, const CWorkload& w) {
@@ -783,7 +1005,20 @@ TEST(CApi, AlgoEnvMalformedIsInvalidArgumentNeverLatched) {
   ::setenv("CUSFFT_ALGO", "fastest", 1);
   EXPECT_EQ(cusfft_set_seed(h, 7), CUSFFT_INVALID_ARGUMENT);
   ::unsetenv("CUSFFT_ALGO");
+  // The failed rebuild left no backend behind: executes are refused (not
+  // run on a half-built plan) until a reconfiguration succeeds.
+  const CWorkload w = make_workload(1 << 12, 8, 17);
+  std::vector<uint64_t> locs(32);
+  std::vector<double> vals(64);
+  std::size_t count = locs.size();
+  EXPECT_EQ(cusfft_execute(h, reinterpret_cast<const double*>(w.x.data()),
+                           locs.data(), vals.data(), &count),
+            CUSFFT_INVALID_ARGUMENT);
   EXPECT_EQ(cusfft_set_seed(h, 7), CUSFFT_SUCCESS);
+  count = locs.size();
+  EXPECT_EQ(cusfft_execute(h, reinterpret_cast<const double*>(w.x.data()),
+                           locs.data(), vals.data(), &count),
+            CUSFFT_SUCCESS);
 
   // CUSFFT_AUTOPICK is parsed strictly too, but only consulted when the
   // algorithm resolves to AUTO.
@@ -802,16 +1037,16 @@ TEST(CApi, AlgoEnvOverridesPlannedAlgorithm) {
   cusfft_handle h = nullptr;
   ASSERT_EQ(cusfft_plan(&h, w.n, w.k, CUSFFT_BACKEND_GPU_OPTIMIZED),
             CUSFFT_SUCCESS);
-  const double ffast_before = algo_execs("ffast");
+  const double ffast_before = algo_signals("ffast");
   capi_execute(h, w);
-  EXPECT_DOUBLE_EQ(algo_execs("ffast"), ffast_before + 1)
+  EXPECT_DOUBLE_EQ(algo_signals("ffast"), ffast_before + 1)
       << "CUSFFT_ALGO=ffast must reach the GPU plan";
 
   ::unsetenv("CUSFFT_ALGO");
   ASSERT_EQ(cusfft_set_seed(h, 3), CUSFFT_SUCCESS);  // rebuild re-reads env
-  const double cusfft_before = algo_execs("cusfft");
+  const double cusfft_before = algo_signals("cusfft");
   capi_execute(h, w);
-  EXPECT_DOUBLE_EQ(algo_execs("cusfft"), cusfft_before + 1)
+  EXPECT_DOUBLE_EQ(algo_signals("cusfft"), cusfft_before + 1)
       << "clearing the override must restore the planned algorithm";
   cusfft_destroy(h);
 }
@@ -949,6 +1184,51 @@ TEST(CApi, ServerConfigDefaultReadsEnvStrictly) {
   ::unsetenv("CUSFFT_SERVE_MAX_BATCH");
   ASSERT_EQ(cusfft_server_config_default(&cfg), CUSFFT_SUCCESS);
   EXPECT_EQ(cfg.max_batch, 8u);  // library default, not the latched 5
+}
+
+TEST(CApi, ServerNodeCountFromEnvServesOnTheCluster) {
+  // cusfft_server_config has no node count: a NULL config takes
+  // CUSFFT_SERVE_NODES, and that server batches through the cluster layer
+  // with the plan's spectra, bit for bit.
+  ::setenv("CUSFFT_SERVE_NODES", "2", 1);
+  cusfft_server s = nullptr;
+  const cusfft_status created = cusfft_server_create(&s, nullptr);
+  ::unsetenv("CUSFFT_SERVE_NODES");
+  ASSERT_EQ(created, CUSFFT_SUCCESS);
+
+  constexpr std::size_t kN = 1 << 10, kK = 8, kCap = 64;
+  const CBatch b(4, kN, kK, 520);
+  std::vector<uint64_t> ids(b.ws.size());
+  for (std::size_t i = 0; i < ids.size(); ++i)
+    ASSERT_EQ(cusfft_server_submit(
+                  s, "t", 0.0, kN, kK, CUSFFT_SLO_THROUGHPUT, 0,
+                  reinterpret_cast<const double*>(b.ws[i].x.data()),
+                  &ids[i]),
+              CUSFFT_SUCCESS);
+  const double cluster_batches =
+      counter_value("cusfft_cluster_batches_total");
+  ASSERT_EQ(cusfft_server_drain(s), CUSFFT_SUCCESS);
+  EXPECT_GT(counter_value("cusfft_cluster_batches_total"), cluster_batches)
+      << "a 2-node server must batch through the cluster layer";
+
+  cusfft_handle h = nullptr;
+  ASSERT_EQ(cusfft_plan(&h, kN, kK, CUSFFT_BACKEND_GPU_OPTIMIZED),
+            CUSFFT_SUCCESS);
+  const auto want = capi_execute_many(h, b, kCap);
+  std::vector<cusfft::SparseSpectrum> got(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    std::vector<uint64_t> locs(kCap);
+    std::vector<double> vals(2 * kCap);
+    std::size_t count = kCap;
+    ASSERT_EQ(cusfft_server_result(s, ids[i], locs.data(), vals.data(),
+                                   &count, nullptr),
+              CUSFFT_SUCCESS);
+    for (std::size_t j = 0; j < count; ++j)
+      got[i].push_back({locs[j], cplx{vals[2 * j], vals[2 * j + 1]}});
+  }
+  expect_same_spectra(got, want, "2-node server vs plan");
+  EXPECT_EQ(cusfft_destroy(h), CUSFFT_SUCCESS);
+  EXPECT_EQ(cusfft_server_destroy(s), CUSFFT_SUCCESS);
 }
 
 TEST(CApi, StatusStrings) {

@@ -12,15 +12,19 @@
 //   4. the merged cluster trace passes the CI artifact checks and the
 //      cluster metrics pass the metrics_check --cluster coverage gate;
 //   5. execute_slab refuses an oversized signal at M = 1 and recovers the
-//      SerialPlan support on a cluster whose per-slab footprint fits.
+//      SerialPlan support on a cluster whose per-slab footprint fits;
+//   6. prepare() builds the node plans of the backend the plan's shape
+//      resolves to, so only that backend has to fit device memory.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <span>
 #include <stdexcept>
 #include <vector>
 
 #include "core/rng.hpp"
+#include "cusfft/autopick.hpp"
 #include "cusfft/cluster_plan.hpp"
 #include "cusfft/multi_plan.hpp"
 #include "cusfft/plan.hpp"
@@ -311,7 +315,7 @@ TEST(Cluster, SlabRefusesAtOneNodeAndMatchesSerial) {
 
   Cluster one(1, 1, tiny);
   gpu::ClusterPlan cp1(one, p, gpu::Options::optimized());
-  EXPECT_THROW(cp1.execute_slab(x), std::runtime_error);
+  EXPECT_THROW(cp1.execute_slab(x), cusim::OutOfDeviceMemory);
 
   Cluster two(2, 1, tiny);
   gpu::ClusterPlan cp2(two, p, gpu::Options::optimized());
@@ -340,6 +344,72 @@ TEST(Cluster, SlabRefusesAtOneNodeAndMatchesSerial) {
   const auto r = tools::check_cluster_metrics(reg.expose_json(), 2);
   EXPECT_TRUE(r.ok);
   for (const auto& e : r.errors) ADD_FAILURE() << e;
+}
+
+TEST(Cluster, PreparedPlansAreTheBackendThatRuns) {
+  // prepare() builds the node plans for the backend the shape resolves to
+  // (the CUSFFT_ALGO override and the kAuto picker included), so a backend
+  // that cannot fit fails prepare() and one that is never run is never
+  // built. At n = 2^12, k = 8 FFAST needs ~106 KiB of device memory and
+  // cuSFFT ~448 KiB.
+  using sfft::Algorithm;
+  ::unsetenv("CUSFFT_ALGO");
+  ::unsetenv("CUSFFT_AUTOPICK");
+  const std::size_t n = 1 << 12, k = 8;
+  const Batch batch(2, n, k, 6606);
+  const gpu::Options opts = gpu::Options::optimized();
+  auto shape = [&](Algorithm a) {
+    sfft::Params p = make_params(n, k, 6606);
+    p.algo = a;
+    return p;
+  };
+  auto spec_with = [](std::size_t bytes) {
+    perfmodel::GpuSpec s = perfmodel::GpuSpec::k20x();
+    s.global_mem_bytes = bytes;
+    return s;
+  };
+  const perfmodel::GpuSpec ffast_only = spec_with(256 << 10);
+  const perfmodel::GpuSpec neither = spec_with(64 << 10);
+  {
+    cusim::Device dev(ffast_only), small(neither);
+    ASSERT_THROW(gpu::GpuPlan(dev, shape(Algorithm::kCusfft), opts),
+                 cusim::OutOfDeviceMemory);
+    ASSERT_NO_THROW(gpu::GpuPlan(dev, shape(Algorithm::kFfast), opts));
+    ASSERT_THROW(gpu::GpuPlan(small, shape(Algorithm::kFfast), opts),
+                 cusim::OutOfDeviceMemory);
+  }
+
+  auto prepare_on = [&](Algorithm a, const perfmodel::GpuSpec& spec) {
+    Cluster cluster(1, 1, spec);
+    gpu::ClusterPlan(cluster, shape(a), opts).prepare();
+  };
+  // Prepares, then runs a batch: a lazily built cuSFFT plan would throw.
+  auto run_on = [&](Algorithm a, const perfmodel::GpuSpec& spec) {
+    Cluster cluster(1, 1, spec);
+    gpu::ClusterPlan plan(cluster, shape(a), opts);
+    plan.prepare();
+    gpu::GpuFleetStats fs;
+    plan.execute_many(batch.views, &fs);
+    for (const auto& s : fs.per_signal) EXPECT_EQ(s.algo, Algorithm::kFfast);
+  };
+
+  EXPECT_THROW(prepare_on(Algorithm::kCusfft, ffast_only),
+               cusim::OutOfDeviceMemory);
+  run_on(Algorithm::kFfast, ffast_only);
+  EXPECT_THROW(prepare_on(Algorithm::kFfast, neither),
+               cusim::OutOfDeviceMemory);
+
+  ::setenv("CUSFFT_ALGO", "ffast", 1);
+  run_on(Algorithm::kCusfft, ffast_only);  // the override picks the plans
+  ::unsetenv("CUSFFT_ALGO");
+
+  ::setenv("CUSFFT_AUTOPICK", "modeled", 1);
+  ASSERT_EQ(gpu::resolve_algorithm(shape(Algorithm::kAuto), ffast_only, opts),
+            Algorithm::kFfast);
+  run_on(Algorithm::kAuto, ffast_only);
+  EXPECT_THROW(prepare_on(Algorithm::kAuto, neither),
+               cusim::OutOfDeviceMemory);
+  ::unsetenv("CUSFFT_AUTOPICK");
 }
 
 TEST(Cluster, DeterministicAcrossHostLaunchPaths) {

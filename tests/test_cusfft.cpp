@@ -276,11 +276,12 @@ TEST(GpuPlan, SharedHistogramRejectedWhenBExceedsSharedMemory) {
 TEST(GpuPlan, RejectsPlansExceedingDeviceMemory) {
   // A 2^28-point plan needs > 8 GB of device buffers; the Table-I K20x has
   // 6 GB, so plan creation must fail like cudaMalloc would — and before
-  // touching host memory (this test must not OOM the host).
+  // touching host memory (this test must not OOM the host). The error is
+  // typed, so front ends tell it apart from other simulator failures.
   cusim::Device dev;
   EXPECT_THROW(GpuPlan(dev, make_params(1ULL << 28, 1000),
                        Options::optimized()),
-               std::runtime_error);
+               cusim::OutOfDeviceMemory);
 }
 
 TEST(GpuPlan, RejectsBadInput) {

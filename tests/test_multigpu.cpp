@@ -279,6 +279,40 @@ TEST(MultiGpu, SingleDeviceGroupHasNoContention) {
   EXPECT_DOUBLE_EQ(fs.model_ms, group.device(0).elapsed_model_ms());
 }
 
+TEST(MultiGpu, SingleDeviceReplayIsTheFullMerge) {
+  // A 1-device group under unlimited staging takes the device's own
+  // (cached) timeline replay instead of the merged loop. A max-inflight
+  // limit no copy can reach forces the merged loop over the same items;
+  // every start, finish and rollup must agree to the bit.
+  const std::size_t n = 1 << 11, k = 8, batch_n = 4;
+  Batch batch(batch_n, n, k, 717);
+  sfft::Params params;
+  params.n = n;
+  params.k = k;
+  params.seed = 717;
+  gpu::Options opts = gpu::Options::optimized();
+  opts.include_transfer = true;
+
+  DeviceGroup group(1);
+  gpu::MultiGpuPlan mplan(group, params, opts);
+  mplan.execute_many(batch.views);
+  const cusim::FleetSchedule replay = group.simulate();
+  group.set_staging(cusim::PcieStaging::MaxInflight(1u << 30));
+  const cusim::FleetSchedule merged = group.simulate();
+
+  ASSERT_GT(replay.items[0].size(), 0u);
+  ASSERT_EQ(replay.items[0].size(), merged.items[0].size());
+  for (std::size_t i = 0; i < replay.items[0].size(); ++i) {
+    EXPECT_EQ(replay.items[0][i].start_s, merged.items[0][i].start_s) << i;
+    EXPECT_EQ(replay.items[0][i].finish_s, merged.items[0][i].finish_s) << i;
+  }
+  EXPECT_EQ(replay.makespan_s, merged.makespan_s);
+  EXPECT_EQ(replay.finish_s, merged.finish_s);
+  EXPECT_EQ(replay.busy_s, merged.busy_s);
+  EXPECT_EQ(replay.pcie_stall_s, merged.pcie_stall_s);
+  EXPECT_EQ(replay.pcie_queue_s, merged.pcie_queue_s);
+}
+
 TEST(MultiGpu, MergedTracePassesArtifactChecks) {
   const std::size_t n = 1 << 11, k = 8, batch_n = 6;
   Batch batch(batch_n, n, k, 808);

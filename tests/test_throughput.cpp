@@ -83,6 +83,31 @@ TEST(BufferPool, BudgetBoundsParkedBytes) {
   EXPECT_EQ(pool.stats().bytes_pooled, pooled);
 }
 
+TEST(BufferPool, LanesKeepParkedBlocksApart) {
+  // A block parks back on the lane it was acquired on, whichever thread
+  // releases it, and an acquire only reuses blocks of the caller's lane —
+  // so concurrent fleet shards (one lane each) never race for one block.
+  BufferPool pool;
+  BufferPool::Block a;
+  {
+    const BufferPool::LaneScope lane(1);
+    a = pool.acquire(1000);
+  }
+  EXPECT_EQ(a.lane, 1u);
+  pool.release(std::move(a));  // released from lane 0, parks on lane 1
+
+  BufferPool::Block b = pool.acquire(1000);  // lane 0 has nothing parked
+  EXPECT_EQ(b.lane, 0u);
+  EXPECT_EQ(pool.stats().reuses, 0u);
+  {
+    const BufferPool::LaneScope lane(1);
+    BufferPool::Block c = pool.acquire(1000);
+    EXPECT_EQ(c.lane, 1u);
+    EXPECT_EQ(pool.stats().reuses, 1u);
+  }
+  EXPECT_EQ(pool.stats().allocations, 2u);
+}
+
 TEST(FilterCache, RepeatedPlansShareOneFilter) {
   signal::flat_filter_cache_clear();
   const auto before = signal::flat_filter_cache_stats();
