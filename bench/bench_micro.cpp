@@ -1,5 +1,5 @@
 // google-benchmark microbenchmarks for the primitive layers: host FFT,
-// binning, estimation, device sort/scan/select, and timeline simulation.
+// binning, estimation, device sort/scan/select, and timeline/fleet replay.
 // These measure *this machine's* functional throughput (not modeled GPU
 // time) — useful for tracking regressions in the hot loops.
 #include <benchmark/benchmark.h>
@@ -9,6 +9,7 @@
 #include "core/rng.hpp"
 #include "cusim/cluster.hpp"
 #include "cusim/device.hpp"
+#include "cusim/device_group.hpp"
 #include "custhrust/scan.hpp"
 #include "custhrust/select.hpp"
 #include "custhrust/sort.hpp"
@@ -151,6 +152,17 @@ void BM_DeviceSelect(benchmark::State& state) {
 }
 BENCHMARK(BM_DeviceSelect);
 
+cusim::TimelineItem timeline_item(int stream, cusim::Resource r,
+                                  double mem_s, double compute_s) {
+  cusim::TimelineItem it;
+  it.name = r == cusim::Resource::kPcie ? "copy" : "k";
+  it.stream = static_cast<cusim::StreamId>(stream);
+  it.resource = r;
+  it.mem_s = mem_s;
+  it.compute_s = compute_s;
+  return it;
+}
+
 void BM_TimelineSimulate(benchmark::State& state) {
   // Rebuild the event list every iteration: simulate() caches its result
   // while the timeline is unchanged, so submitting outside the loop would
@@ -158,14 +170,40 @@ void BM_TimelineSimulate(benchmark::State& state) {
   for (auto _ : state) {
     cusim::Timeline tl(32);
     for (int i = 0; i < 512; ++i)
-      tl.submit({"k", static_cast<cusim::StreamId>(i % 32),
-                 cusim::Resource::kDeviceMemory, 1e-4, 1e-5});
+      tl.submit(timeline_item(i % 32, cusim::Resource::kDeviceMemory, 1e-4,
+                              1e-5));
     double t = tl.simulate();
     benchmark::DoNotOptimize(t);
   }
   state.SetItemsProcessed(static_cast<i64>(state.iterations()) * 512);
 }
 BENCHMARK(BM_TimelineSimulate);
+
+void BM_FleetReplay(benchmark::State& state) {
+  // The merged fleet replay: 2 devices x 1024 items on 8 streams each, a
+  // device sync_point every 64 items (barrier windows) and a PCIe copy
+  // every 16 (the shared host link). Rebuilt every iteration through
+  // begin_capture, so the cached fleet schedule is not what gets measured.
+  cusim::DeviceGroup group(2);
+  for (auto _ : state) {
+    group.begin_capture();
+    for (std::size_t d = 0; d < group.size(); ++d) {
+      cusim::Device& dev = group.device(d);
+      for (int i = 0; i < 1024; ++i) {
+        if (i % 64 == 0) dev.sync_point();
+        dev.timeline().submit(
+            i % 16 == 15
+                ? timeline_item(i % 8, cusim::Resource::kPcie, 2e-5, 0.0)
+                : timeline_item(i % 8, cusim::Resource::kDeviceMemory, 1e-5,
+                                5e-6));
+      }
+    }
+    auto fs = group.simulate();
+    benchmark::DoNotOptimize(fs.makespan_s);
+  }
+  state.SetItemsProcessed(static_cast<i64>(state.iterations()) * 2048);
+}
+BENCHMARK(BM_FleetReplay);
 
 void BM_ClusterSimulate(benchmark::State& state) {
   // The cluster merge path end to end: per-node device work, NIC ingress

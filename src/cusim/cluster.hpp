@@ -123,8 +123,9 @@ class Cluster {
   /// submissions (with a device sync_point in between on that node).
   void mark_exchange_barrier(unsigned node);
 
-  /// Merged cluster schedule (see file comment). Recomputes each call;
-  /// rethrows DeviceGroup::simulate's deadlock error.
+  /// Merged cluster schedule (see file comment). Node schedules come from
+  /// each DeviceGroup's cached simulate(), so a call recomputes only the
+  /// NIC composition; rethrows DeviceGroup::simulate's deadlock error.
   ClusterSchedule simulate();
 
   /// Merged observability record. At nodes() == 1 this is byte-identical

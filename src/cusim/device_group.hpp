@@ -3,16 +3,17 @@
 // global_threads/N, so N shards execute functionally in parallel from N
 // host threads without sharing the single-submitter global pool.
 //
-// The merged simulation replays every device's captured timeline on one
-// clock: device-side resources (the Hyper-Q concurrent-kernel window,
-// device memory bandwidth) stay per-device, but all PCIe copies contend
-// for the shared host root complex — H2D/D2H transfers to different
-// devices split host link bandwidth instead of overlapping for free.
-// For a single device the merged schedule is bit-identical to
-// Timeline::simulate(), so fleet numbers degrade gracefully to the
-// single-device ones.
+// The merged simulation is the timeline event loop (timeline.hpp) run
+// over every device's captured timeline on one clock: device-side
+// resources (the Hyper-Q concurrent-kernel window, device memory
+// bandwidth) stay per-device, but all PCIe copies contend for the shared
+// host root complex — H2D/D2H transfers to different devices split host
+// link bandwidth instead of overlapping for free. For a single device the
+// merged schedule is Timeline::simulate()'s, so fleet numbers degrade
+// exactly to the single-device ones.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -23,64 +24,6 @@
 namespace cusfft::cusim {
 
 struct CaptureProfile;  // profiler.hpp
-
-/// Admission policy for the shared PCIe root complex. Under kUnlimited
-/// (the default, and the only behavior before staging existed) every
-/// in-flight copy splits host-link bandwidth; the staged policies instead
-/// bound how many copies may be in flight at once, so shards stagger
-/// their bulk uploads rather than all contending at t=0 — the total bytes
-/// moved are identical, but the first-admitted device's kernels start
-/// sooner and overlap the remaining copies.
-struct PcieStaging {
-  enum class Kind {
-    kUnlimited,   ///< all ready copies run, splitting link bandwidth
-    kRoundRobin,  ///< one copy at a time, devices admitted in rotation
-    kMaxInflight  ///< at most `limit` concurrent copies (admission in
-                  ///< device-then-submission order)
-  };
-  Kind kind = Kind::kUnlimited;
-  unsigned limit = 0;  // kMaxInflight only
-
-  static PcieStaging Unlimited() { return {}; }
-  static PcieStaging RoundRobin() {
-    return {Kind::kRoundRobin, 0};
-  }
-  static PcieStaging MaxInflight(unsigned n) {
-    return {Kind::kMaxInflight, n > 0 ? n : 1};
-  }
-  const char* name() const {
-    switch (kind) {
-      case Kind::kRoundRobin: return "round-robin";
-      case Kind::kMaxInflight: return "max-inflight";
-      case Kind::kUnlimited: break;
-    }
-    return "unlimited";
-  }
-};
-
-/// All device timelines replayed on one shared clock (t=0 at the group's
-/// begin_capture). Index-aligned with the group's devices.
-struct FleetSchedule {
-  double makespan_s = 0;  // fleet-level finish (max over devices)
-  /// Per-device item schedules, index-aligned with that device's
-  /// timeline().items() — same shape Timeline::schedule() has, but with
-  /// cross-device PCIe contention applied.
-  std::vector<std::vector<ItemSchedule>> items;
-  std::vector<double> finish_s;      // per device: last item finish (0 idle)
-  /// Per device: time with at least one kernel resident (union of kernel
-  /// intervals, NOT summed spans) — busy_s/makespan is a [0, 1]
-  /// utilization that correctly drops when the device idles on PCIe.
-  std::vector<double> busy_s;
-  /// Per device: extra time its PCIe copies spent because other devices'
-  /// copies shared the host link (merged duration minus the device's own
-  /// contention-free schedule). Zero for a single-device group.
-  std::vector<double> pcie_stall_s;
-  /// Per device: time its PCIe copies spent *waiting for admission* under
-  /// a staging policy (ready but held back by the in-flight limit). Zero
-  /// under PcieStaging::kUnlimited — staging converts bandwidth-sharing
-  /// stall into queueing, and the two columns make that trade visible.
-  std::vector<double> pcie_queue_s;
-};
 
 class DeviceGroup {
  public:
@@ -103,14 +46,19 @@ class DeviceGroup {
   /// Root-complex admission policy for the merged simulation. Takes
   /// effect on the next simulate(); kUnlimited (the default) reproduces
   /// the historical all-copies-share-the-link behavior exactly.
-  void set_staging(PcieStaging s) { staging_ = s; }
+  void set_staging(PcieStaging s) {
+    staging_ = s;
+    replayed_at_.clear();
+  }
   const PcieStaging& staging() const { return staging_; }
 
   /// Replays all captured timelines on the shared clock (see file
-  /// comment). Safe to call repeatedly; recomputes each time. Throws
-  /// std::runtime_error if the captured timelines deadlock (an item's
-  /// dependencies can never clear — only possible with hand-injected
-  /// items); a silent stop here would under-report the makespan.
+  /// comment). The result is cached, like Timeline::simulate()'s, until a
+  /// device timeline or the staging policy changes. Throws
+  /// std::runtime_error naming the stuck device and item if the captured
+  /// timelines deadlock (an item's dependencies can never clear — only
+  /// possible with hand-injected items); a silent stop here would
+  /// under-report the makespan.
   FleetSchedule simulate();
 
   /// Merged observability record: one CaptureProfile whose spans/phases
@@ -133,6 +81,10 @@ class DeviceGroup {
   std::vector<PerDevice> devices_;
   BufferPool::Stats pool_at_capture_;
   PcieStaging staging_;
+  FleetSchedule fleet_;  // last simulate() result
+  // Each device timeline's changes_ when fleet_ was replayed; empty when
+  // there is no valid cache.
+  std::vector<std::uint64_t> replayed_at_;
 };
 
 }  // namespace cusfft::cusim

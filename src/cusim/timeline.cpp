@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace cusfft::cusim {
 
@@ -16,14 +18,14 @@ void Timeline::clear() {
   pending_after_.clear();
   dep_arena_.reset();
   barrier_ = 0;
-  dirty_ = true;
+  ++changes_;
 }
 
 void Timeline::clear_events() {
   events_.clear();
   // The cached makespan/schedule was computed for the pre-clear event set;
   // force the next simulate() to recompute rather than reuse it.
-  dirty_ = true;
+  ++changes_;
 }
 
 std::size_t Timeline::record_event(StreamId s) {
@@ -99,145 +101,228 @@ std::size_t Timeline::submit(TimelineItem item,
   if (pend != pending_deps_.end()) pending_deps_.erase(pend);
   items_.push_back(std::move(item));
   last_on_stream_[items_.back().stream] = items_.size() - 1;
-  dirty_ = true;
+  ++changes_;
   return items_.size() - 1;
 }
 
 double Timeline::simulate() {
-  if (!dirty_) return makespan_s_;
-  const std::size_t n = items_.size();
-  schedule_.assign(n, ItemSchedule{});
-  if (n == 0) {
-    dirty_ = false;
-    makespan_s_ = 0.0;
-    return 0.0;
-  }
+  if (simulated_at_ == changes_) return makespan_s_;
+  Timeline* self = this;
+  FleetSchedule fs = replay({&self, 1}, PcieStaging::Unlimited());
+  schedule_ = std::move(fs.items[0]);
+  makespan_s_ = fs.makespan_s;
+  simulated_at_ = changes_;
+  return makespan_s_;
+}
 
-  constexpr double kEps = 1e-15;
-  struct State {
-    double mem_left = 0;
-    double comp_left = 0;
-    bool running = false;
-    bool done = false;
+FleetSchedule Timeline::replay(std::span<Timeline* const> tls,
+                               const PcieStaging& staging) {
+  const std::size_t ntl = tls.size();
+  FleetSchedule fs;
+  fs.items.resize(ntl);
+  fs.pcie_queue_s.assign(ntl, 0.0);
+
+  struct Node {
+    const TimelineItem* it = nullptr;
+    unsigned tl = 0;  // owning timeline
+    double mem_left = 0, comp_left = 0;
+    std::ptrdiff_t prev = -1;  // node index of the stream predecessor
+    bool started = false, done = false;
   };
-  std::vector<State> st(n);
-  // Per-stream FIFO: index of the previous item on the same stream.
-  std::vector<std::ptrdiff_t> prev(n, -1);
-  {
-    std::vector<std::pair<StreamId, std::size_t>> last;
-    for (std::size_t i = 0; i < n; ++i) {
-      st[i].mem_left = items_[i].mem_s;
-      st[i].comp_left = items_[i].compute_s;
-      for (auto& [sid, idx] : last)
-        if (sid == items_[i].stream) {
-          prev[i] = static_cast<std::ptrdiff_t>(idx);
-          idx = i;
-          goto linked;
-        }
-      last.emplace_back(items_[i].stream, i);
-    linked:;
+  // Per-timeline scope: its node range, the first not-done item ("all of
+  // [0, after) done" is one comparison against it), and its device-side
+  // resources — the kernel window and memory-bandwidth sharers.
+  struct Lane {
+    std::size_t base = 0, count = 0, done_prefix = 0;
+    unsigned cap = 0, running = 0, mem = 0;
+  };
+  std::vector<Node> nodes;
+  std::vector<Lane> lanes(ntl);
+  std::size_t total = 0;
+  for (const Timeline* tl : tls) total += tl->items_.size();
+  nodes.reserve(total);
+  for (std::size_t l = 0; l < ntl; ++l) {
+    const auto& items = tls[l]->items_;
+    lanes[l].base = nodes.size();
+    lanes[l].count = items.size();
+    lanes[l].cap = tls[l]->max_kernels_;
+    fs.items[l].assign(items.size(), ItemSchedule{});
+    std::vector<std::pair<StreamId, std::size_t>> last;  // stream -> node
+    for (const TimelineItem& item : items) {
+      Node nd;
+      nd.it = &item;
+      nd.tl = static_cast<unsigned>(l);
+      nd.mem_left = item.mem_s;
+      nd.comp_left = item.compute_s;
+      const auto s = std::find_if(last.begin(), last.end(), [&](auto& e) {
+        return e.first == item.stream;
+      });
+      if (s != last.end())
+        nd.prev = static_cast<std::ptrdiff_t>(
+            std::exchange(s->second, nodes.size()));
+      else
+        last.emplace_back(item.stream, nodes.size());
+      nodes.push_back(nd);
     }
   }
 
+  const std::size_t n = nodes.size();
+  const unsigned nl = static_cast<unsigned>(ntl);
+  constexpr double kEps = 1e-15;
   double t = 0.0;
   std::size_t done_count = 0;
-  // The event loop only ever touches items that are not yet done: `alive`
-  // holds them in ascending index order (compacted after each retire), and
-  // `done_prefix` is the first not-done index — "all of [0, after) done"
-  // becomes one comparison. Scheduling decisions are evaluated in the same
-  // ascending-index order as the full scan this replaced, so the schedule
-  // is bit-identical; only the per-step cost drops from O(n) to O(alive).
-  std::vector<std::size_t> alive(n);
-  for (std::size_t i = 0; i < n; ++i) alive[i] = i;
-  std::size_t done_prefix = 0;
-  unsigned dev_running = 0, pcie_running = 0;
+  unsigned pcie_running = 0;
+  unsigned rr_next = 0;  // round-robin rotation cursor (timeline index)
+  auto rr_dist = [&](unsigned l) { return (l + nl - rr_next) % nl; };
+  // `waiting` holds the not-yet-started nodes in ascending node
+  // (timeline-then-submission) order, and every admission decision is
+  // taken in that order; the rest of a step touches only `running` and
+  // `held` (ready copies the staging policy queued this step). `waiting`
+  // and `running` are compacted as nodes leave them.
+  std::vector<std::size_t> waiting(n), running, held;
+  std::iota(waiting.begin(), waiting.end(), std::size_t{0});
+  auto start = [&](std::size_t i) {
+    Node& nd = nodes[i];
+    nd.started = true;
+    running.push_back(i);
+    fs.items[nd.tl][i - lanes[nd.tl].base].start_s = t;
+  };
   while (done_count < n) {
-    // Start every eligible item (stream predecessor finished), respecting
-    // the concurrent-kernel cap for device work.
-    for (const std::size_t i : alive) {
-      if (st[i].running) continue;
-      if (prev[i] >= 0 && !st[static_cast<std::size_t>(prev[i])].done)
+    // Start every eligible item, respecting each timeline's kernel window
+    // and the staging policy for PCIe copies.
+    const std::size_t was_running = running.size();
+    std::ptrdiff_t rr_pick = -1;  // best kRoundRobin candidate this step
+    held.clear();
+    for (const std::size_t i : waiting) {
+      const Node& nd = nodes[i];
+      if (nd.prev >= 0 && !nodes[static_cast<std::size_t>(nd.prev)].done)
         continue;
-      if (items_[i].after > done_prefix) continue;  // barrier window open
-      bool deps_clear = true;
-      for (const std::size_t d : items_[i].deps)
-        if (d < n && !st[d].done) {
-          deps_clear = false;
-          break;
-        }
-      if (!deps_clear) continue;
-      if (items_[i].resource == Resource::kDeviceMemory) {
-        if (dev_running >= max_kernels_) continue;
-        ++dev_running;
+      Lane& lane = lanes[nd.tl];
+      if (nd.it->after > lane.done_prefix) continue;  // barrier window open
+      // Deps are local to the owning timeline: one out of its range is
+      // ignored, never aliased into another timeline's nodes.
+      if (std::any_of(nd.it->deps.begin(), nd.it->deps.end(),
+                      [&](std::size_t d) {
+                        return d < lane.count && !nodes[lane.base + d].done;
+                      }))
+        continue;
+      if (nd.it->resource == Resource::kDeviceMemory) {
+        if (lane.running >= lane.cap) continue;
+        ++lane.running;
       } else {
+        switch (staging.kind) {
+          case PcieStaging::Kind::kUnlimited:
+            break;
+          case PcieStaging::Kind::kMaxInflight:
+            if (pcie_running >= staging.limit) {
+              held.push_back(i);
+              continue;
+            }
+            break;
+          case PcieStaging::Kind::kRoundRobin:
+            // One copy at a time; the winner is the ready timeline closest
+            // in rotation after the last admission (earliest-submitted
+            // copy within it, by scan order). Decided after the scan.
+            held.push_back(i);
+            if (pcie_running == 0 &&
+                (rr_pick < 0 || rr_dist(nd.tl) < rr_dist(nodes[rr_pick].tl)))
+              rr_pick = static_cast<std::ptrdiff_t>(i);
+            continue;
+        }
         ++pcie_running;
       }
-      st[i].running = true;
-      schedule_[i].start_s = t;
+      start(i);
+    }
+    if (rr_pick >= 0) {
+      const std::size_t pick = static_cast<std::size_t>(rr_pick);
+      held.erase(std::find(held.begin(), held.end(), pick));
+      ++pcie_running;
+      start(pick);
+      rr_next = (nodes[pick].tl + 1) % nl;
+    }
+    if (running.size() != was_running)
+      waiting.erase(std::remove_if(waiting.begin(), waiting.end(),
+                                   [&](std::size_t i) {
+                                     return nodes[i].started;
+                                   }),
+                    waiting.end());
+
+    if (running.empty()) {
+      // Nothing runs yet items remain (a cyclic or self dependency in
+      // hand-built items): breaking would under-report the makespan. The
+      // first waiting node is its timeline's first not-done item, so its
+      // stream predecessor and barrier window are clear — its own deps
+      // hold it.
+      const Node& stuck = nodes[waiting.front()];
+      throw std::runtime_error(
+          "cusim: timeline deadlock — item " +
+          std::to_string(waiting.front() - lanes[stuck.tl].base) + " '" +
+          stuck.it->name + "'" +
+          (ntl > 1 ? " on device " + std::to_string(stuck.tl) : "") +
+          " can never start (unsatisfiable dependencies; " +
+          std::to_string(n - done_count) + " of " + std::to_string(n) +
+          " items stuck)");
     }
 
-    // Bandwidth is shared only among items that still demand memory.
-    unsigned dev_mem = 0, pcie_mem = 0;
-    for (const std::size_t i : alive)
-      if (st[i].running && st[i].mem_left > kEps)
-        (items_[i].resource == Resource::kDeviceMemory ? dev_mem
-                                                       : pcie_mem)++;
+    // Bandwidth is shared only among items that still demand memory:
+    // device memory per timeline, the PCIe link across all of them.
+    for (Lane& lane : lanes) lane.mem = 0;
+    unsigned pcie_mem = 0;
+    for (const std::size_t i : running)
+      if (nodes[i].mem_left > kEps)
+        ++(nodes[i].it->resource == Resource::kDeviceMemory
+               ? lanes[nodes[i].tl].mem
+               : pcie_mem);
+    auto share_of = [&](const Node& nd) {
+      return static_cast<double>(std::max(
+          1u, nd.it->resource == Resource::kDeviceMemory ? lanes[nd.tl].mem
+                                                         : pcie_mem));
+    };
 
     // Next completion under the current bandwidth shares.
     double dt = std::numeric_limits<double>::infinity();
-    for (const std::size_t i : alive) {
-      if (!st[i].running) continue;
-      const double share =
-          items_[i].resource == Resource::kDeviceMemory
-              ? static_cast<double>(std::max(1u, dev_mem))
-              : static_cast<double>(std::max(1u, pcie_mem));
-      const double fin = std::max(st[i].comp_left, st[i].mem_left * share);
-      dt = std::min(dt, fin);
+    for (const std::size_t i : running) {
+      const Node& nd = nodes[i];
+      const double share = share_of(nd);
+      dt = std::min(dt, std::max(nd.comp_left, nd.mem_left * share));
       // Shares change when an item's memory demand drains, even if its
       // compute phase keeps running — that is also an event.
-      if (st[i].mem_left > kEps) dt = std::min(dt, st[i].mem_left * share);
-    }
-    if (!std::isfinite(dt)) {
-      // Nothing is runnable yet items remain (a cyclic or self dependency
-      // in hand-built items): breaking would under-report the makespan.
-      throw std::runtime_error(
-          "Timeline::simulate: deadlock — " +
-          std::to_string(n - done_count) + " of " + std::to_string(n) +
-          " items can never start (unsatisfiable dependencies)");
+      if (nd.mem_left > kEps) dt = std::min(dt, nd.mem_left * share);
     }
     dt = std::max(dt, 0.0);
 
     // Advance everything by dt and retire finished items.
+    for (const std::size_t i : held) fs.pcie_queue_s[nodes[i].tl] += dt;
     bool retired = false;
-    for (const std::size_t i : alive) {
-      if (!st[i].running) continue;
-      const double share =
-          items_[i].resource == Resource::kDeviceMemory
-              ? static_cast<double>(std::max(1u, dev_mem))
-              : static_cast<double>(std::max(1u, pcie_mem));
-      st[i].comp_left -= dt;
-      st[i].mem_left -= dt / share;
-      if (st[i].comp_left <= kEps && st[i].mem_left <= kEps) {
-        st[i].running = false;
-        st[i].done = true;
-        schedule_[i].finish_s = t + dt;
+    for (const std::size_t i : running) {
+      Node& nd = nodes[i];
+      const double share = share_of(nd);
+      nd.comp_left -= dt;
+      nd.mem_left -= dt / share;
+      if (nd.comp_left <= kEps && nd.mem_left <= kEps) {
+        nd.done = true;
+        fs.items[nd.tl][i - lanes[nd.tl].base].finish_s = t + dt;
         ++done_count;
         retired = true;
-        (items_[i].resource == Resource::kDeviceMemory ? dev_running
-                                                       : pcie_running)--;
+        --(nd.it->resource == Resource::kDeviceMemory ? lanes[nd.tl].running
+                                                      : pcie_running);
       }
     }
     t += dt;
     if (retired) {
-      alive.erase(std::remove_if(alive.begin(), alive.end(),
-                                 [&](std::size_t i) { return st[i].done; }),
-                  alive.end());
-      while (done_prefix < n && st[done_prefix].done) ++done_prefix;
+      running.erase(std::remove_if(running.begin(), running.end(),
+                                   [&](std::size_t i) {
+                                     return nodes[i].done;
+                                   }),
+                    running.end());
+      for (Lane& lane : lanes)
+        while (lane.done_prefix < lane.count &&
+               nodes[lane.base + lane.done_prefix].done)
+          ++lane.done_prefix;
     }
   }
-  dirty_ = false;
-  makespan_s_ = t;
-  return t;
+  fs.makespan_s = t;
+  return fs;
 }
 
 }  // namespace cusfft::cusim

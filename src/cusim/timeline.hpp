@@ -2,9 +2,17 @@
 // bandwidth sharing, and PCIe transfers as a separate resource. This is what
 // makes the paper's asynchronous data-layout transformation (Fig. 4) — up to
 // 32 kernels in flight on GK110 — simulatable.
+//
+// One event loop replays N timelines on one clock. Stream FIFO order,
+// barriers, deps, the concurrent-kernel window and device-memory bandwidth
+// stay per timeline; PCIe copies of every timeline share one host link
+// under a PcieStaging admission policy. Timeline::simulate() is that loop
+// over the timeline alone; DeviceGroup::simulate() runs it over its
+// devices' timelines.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <span>
 #include <string>
@@ -48,6 +56,65 @@ struct TimelineItem {
 struct ItemSchedule {
   double start_s = 0;
   double finish_s = 0;
+};
+
+/// Admission policy for the shared PCIe root complex. Under kUnlimited
+/// (the default, and the only behavior before staging existed) every
+/// in-flight copy splits host-link bandwidth; the staged policies instead
+/// bound how many copies may be in flight at once, so shards stagger
+/// their bulk uploads rather than all contending at t=0 — the total bytes
+/// moved are identical, but the first-admitted device's kernels start
+/// sooner and overlap the remaining copies.
+struct PcieStaging {
+  enum class Kind {
+    kUnlimited,   ///< all ready copies run, splitting link bandwidth
+    kRoundRobin,  ///< one copy at a time, devices admitted in rotation
+    kMaxInflight  ///< at most `limit` concurrent copies (admission in
+                  ///< device-then-submission order)
+  };
+  Kind kind = Kind::kUnlimited;
+  unsigned limit = 0;  // kMaxInflight only
+
+  static PcieStaging Unlimited() { return {}; }
+  static PcieStaging RoundRobin() {
+    return {Kind::kRoundRobin, 0};
+  }
+  static PcieStaging MaxInflight(unsigned n) {
+    return {Kind::kMaxInflight, n > 0 ? n : 1};
+  }
+  const char* name() const {
+    switch (kind) {
+      case Kind::kRoundRobin: return "round-robin";
+      case Kind::kMaxInflight: return "max-inflight";
+      case Kind::kUnlimited: break;
+    }
+    return "unlimited";
+  }
+};
+
+/// Timelines replayed on one shared clock (t=0 at the group's
+/// begin_capture). Index-aligned with the replayed timelines — a
+/// DeviceGroup's devices.
+struct FleetSchedule {
+  double makespan_s = 0;  // fleet-level finish (max over devices)
+  /// Per-device item schedules, index-aligned with that device's
+  /// timeline().items() — same shape Timeline::schedule() has, but with
+  /// cross-device PCIe contention applied.
+  std::vector<std::vector<ItemSchedule>> items;
+  std::vector<double> finish_s;      // per device: last item finish (0 idle)
+  /// Per device: time with at least one kernel resident (union of kernel
+  /// intervals, NOT summed spans) — busy_s/makespan is a [0, 1]
+  /// utilization that correctly drops when the device idles on PCIe.
+  std::vector<double> busy_s;
+  /// Per device: extra time its PCIe copies spent because other devices'
+  /// copies shared the host link (merged duration minus the device's own
+  /// contention-free schedule). Zero for a single-device group.
+  std::vector<double> pcie_stall_s;
+  /// Per device: time its PCIe copies spent *waiting for admission* under
+  /// a staging policy (ready but held back by the in-flight limit). Zero
+  /// under PcieStaging::kUnlimited — staging converts bandwidth-sharing
+  /// stall into queueing, and the two columns make that trade visible.
+  std::vector<double> pcie_queue_s;
 };
 
 class Timeline {
@@ -106,9 +173,9 @@ class Timeline {
   /// explicit deps (wait_event). Across streams up to
   /// `max_concurrent_kernels` device kernels run concurrently and share
   /// memory bandwidth equally (an item's memory phase dilates by the number
-  /// of co-running items on its resource). Returns the makespan in seconds;
-  /// throws std::runtime_error when some item can never start (a dependency
-  /// cycle), like DeviceGroup::simulate.
+  /// of co-running items on its resource). Returns the makespan in seconds,
+  /// cached until the next submission or clear; throws std::runtime_error
+  /// naming an item that can never start (a dependency cycle).
   double simulate();
 
   /// Per-item schedule from the last simulate() call.
@@ -120,6 +187,8 @@ class Timeline {
   LaunchArena::Stats arena_stats() const { return dep_arena_.stats(); }
 
  private:
+  friend class DeviceGroup;  // runs replay() and keys its cache on changes_
+
   /// One recorded event: device-wide (all items [0, upto)) or stream-scoped
   /// (the single item that was last on the stream when recorded).
   struct EventMark {
@@ -128,10 +197,19 @@ class Timeline {
     bool scoped = false;
   };
 
+  /// The event loop (see file comment): replays `tls` on one clock and
+  /// fills makespan_s, items and pcie_queue_s; the per-device rollup
+  /// columns are the caller's. Throws std::runtime_error on a deadlock.
+  static FleetSchedule replay(std::span<Timeline* const> tls,
+                              const PcieStaging& staging);
+
   unsigned max_kernels_;
   std::size_t barrier_ = 0;
-  bool dirty_ = true;        // submissions/event clears since simulate()
-  double makespan_s_ = 0;    // cached simulate() result while !dirty_
+  // Bumped by every submission, clear and event clear; keys the cached
+  // simulate() result here and DeviceGroup's cached fleet replay.
+  std::uint64_t changes_ = 1;
+  std::uint64_t simulated_at_ = 0;  // changes_ at the last simulate()
+  double makespan_s_ = 0;           // cached simulate() result
   LaunchArena dep_arena_;    // backs every TimelineItem::deps span
   std::vector<TimelineItem> items_;
   std::vector<ItemSchedule> schedule_;

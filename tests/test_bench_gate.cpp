@@ -105,7 +105,9 @@ TEST(BenchGate, NoiseFloorExemptsFastBenchmarks) {
   const auto r = gate_benchmarks(base, next, 500.0);
   EXPECT_NEAR(r.worst_regression_frac, 0.05, 1e-12);
   for (const auto& row : r.rows)
-    if (row.name == "BM_Tiny") EXPECT_FALSE(row.gated);
+    if (row.name == "BM_Tiny") {
+      EXPECT_FALSE(row.gated);
+    }
 }
 
 TEST(BenchGate, TracksMissingAndNewBenchmarks) {

@@ -4,12 +4,25 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
+#include <utility>
 
 #include "cusim/device.hpp"
 #include "cusim/report.hpp"
 
 namespace cusfft::cusim {
 namespace {
+
+TimelineItem item(std::string name, StreamId s, Resource r, double mem_s,
+                  double compute_s) {
+  TimelineItem it;
+  it.name = std::move(name);
+  it.stream = s;
+  it.resource = r;
+  it.mem_s = mem_s;
+  it.compute_s = compute_s;
+  return it;
+}
 
 TEST(LaunchCfg, ForElementsCoversCount) {
   const auto c = LaunchCfg::for_elements("k", 1000, 256);
@@ -176,8 +189,8 @@ TEST(Device, UploadSizeMismatchThrows) {
 
 TEST(Timeline, SameStreamSerializes) {
   Timeline tl(32);
-  TimelineItem a{"a", 0, Resource::kDeviceMemory, 1e-3, 0.0};
-  TimelineItem b{"b", 0, Resource::kDeviceMemory, 1e-3, 0.0};
+  const TimelineItem a = item("a", 0, Resource::kDeviceMemory, 1e-3, 0.0);
+  const TimelineItem b = item("b", 0, Resource::kDeviceMemory, 1e-3, 0.0);
   tl.submit(a);
   tl.submit(b);
   EXPECT_NEAR(tl.simulate(), 2e-3, 1e-9);
@@ -188,39 +201,39 @@ TEST(Timeline, MemBoundKernelsShareBandwidth) {
   // Two memory-bound kernels on different streams: total time equals the
   // sum (bandwidth is the shared resource) — no magic speedup.
   Timeline tl(32);
-  tl.submit({"a", 1, Resource::kDeviceMemory, 1e-3, 0.0});
-  tl.submit({"b", 2, Resource::kDeviceMemory, 1e-3, 0.0});
+  tl.submit(item("a", 1, Resource::kDeviceMemory, 1e-3, 0.0));
+  tl.submit(item("b", 2, Resource::kDeviceMemory, 1e-3, 0.0));
   EXPECT_NEAR(tl.simulate(), 2e-3, 1e-6);
 }
 
 TEST(Timeline, ComputeOverlapsMemory) {
   // A compute-bound kernel fully hides behind a memory-bound one.
   Timeline tl(32);
-  tl.submit({"mem", 1, Resource::kDeviceMemory, 2e-3, 0.0});
-  tl.submit({"cmp", 2, Resource::kDeviceMemory, 0.0, 1e-3});
+  tl.submit(item("mem", 1, Resource::kDeviceMemory, 2e-3, 0.0));
+  tl.submit(item("cmp", 2, Resource::kDeviceMemory, 0.0, 1e-3));
   EXPECT_NEAR(tl.simulate(), 2e-3, 1e-6);
 }
 
 TEST(Timeline, PcieIsSeparateResource) {
   // A PCIe copy overlaps a device-memory kernel completely.
   Timeline tl(32);
-  tl.submit({"kernel", 1, Resource::kDeviceMemory, 2e-3, 0.0});
-  tl.submit({"h2d", 2, Resource::kPcie, 2e-3, 0.0});
+  tl.submit(item("kernel", 1, Resource::kDeviceMemory, 2e-3, 0.0));
+  tl.submit(item("h2d", 2, Resource::kPcie, 2e-3, 0.0));
   EXPECT_NEAR(tl.simulate(), 2e-3, 1e-6);
 }
 
 TEST(Timeline, ConcurrencyCapQueuesExtras) {
   // Cap 2: three pure-compute kernels of 1ms on distinct streams take 2ms.
   Timeline tl(2);
-  tl.submit({"a", 1, Resource::kDeviceMemory, 0.0, 1e-3});
-  tl.submit({"b", 2, Resource::kDeviceMemory, 0.0, 1e-3});
-  tl.submit({"c", 3, Resource::kDeviceMemory, 0.0, 1e-3});
+  tl.submit(item("a", 1, Resource::kDeviceMemory, 0.0, 1e-3));
+  tl.submit(item("b", 2, Resource::kDeviceMemory, 0.0, 1e-3));
+  tl.submit(item("c", 3, Resource::kDeviceMemory, 0.0, 1e-3));
   EXPECT_NEAR(tl.simulate(), 2e-3, 1e-6);
 }
 
 TEST(Timeline, ClearResets) {
   Timeline tl(32);
-  tl.submit({"a", 0, Resource::kDeviceMemory, 1e-3, 0.0});
+  tl.submit(item("a", 0, Resource::kDeviceMemory, 1e-3, 0.0));
   tl.simulate();
   tl.clear();
   EXPECT_EQ(tl.item_count(), 0u);
@@ -229,7 +242,7 @@ TEST(Timeline, ClearResets) {
 
 TEST(Timeline, ClearEventsRestartsIdsAndInvalidatesCache) {
   Timeline tl(32);
-  tl.submit({"a", 1, Resource::kDeviceMemory, 1e-3, 0.0});
+  tl.submit(item("a", 1, Resource::kDeviceMemory, 1e-3, 0.0));
   const std::size_t e_old = tl.record_event();
   EXPECT_NEAR(tl.simulate(), 1e-3, 1e-9);
   EXPECT_NEAR(tl.event_time_s(e_old), 1e-3, 1e-9);
@@ -240,7 +253,7 @@ TEST(Timeline, ClearEventsRestartsIdsAndInvalidatesCache) {
   // ...and a new event that happens to reuse the same numeric id must read
   // the current timeline state — simulate() may not serve the makespan it
   // cached for the pre-clear event set (the stale-makespan hazard).
-  tl.submit({"b", 1, Resource::kDeviceMemory, 1e-3, 0.0});
+  tl.submit(item("b", 1, Resource::kDeviceMemory, 1e-3, 0.0));
   const std::size_t e_new = tl.record_event();
   EXPECT_EQ(e_new, e_old);
   EXPECT_NEAR(tl.simulate(), 2e-3, 1e-9);
@@ -252,7 +265,7 @@ TEST(Timeline, ClearEventsAloneForcesRecompute) {
   // (items unchanged, so the value matches) and freshly recorded events
   // resolve against that schedule.
   Timeline tl(32);
-  tl.submit({"a", 1, Resource::kDeviceMemory, 1e-3, 0.0});
+  tl.submit(item("a", 1, Resource::kDeviceMemory, 1e-3, 0.0));
   const double first = tl.simulate();
   tl.clear_events();
   const std::size_t e = tl.record_event();
@@ -352,10 +365,10 @@ TEST(Device, AtomicScalingUnderSampling) {
 
 TEST(Timeline, BarrierAppliesOnlyToLaterItems) {
   Timeline tl(32);
-  tl.submit({"a", 1, Resource::kDeviceMemory, 0.0, 1e-3, 0});
-  tl.submit({"b", 2, Resource::kDeviceMemory, 0.0, 1e-3, 0});
+  tl.submit(item("a", 1, Resource::kDeviceMemory, 0.0, 1e-3));
+  tl.submit(item("b", 2, Resource::kDeviceMemory, 0.0, 1e-3));
   tl.barrier();
-  tl.submit({"c", 3, Resource::kDeviceMemory, 0.0, 1e-3, 0});
+  tl.submit(item("c", 3, Resource::kDeviceMemory, 0.0, 1e-3));
   EXPECT_NEAR(tl.simulate(), 2e-3, 1e-6);  // a||b then c
   EXPECT_NEAR(tl.schedule()[2].start_s, 1e-3, 1e-6);
 }
@@ -363,8 +376,8 @@ TEST(Timeline, BarrierAppliesOnlyToLaterItems) {
 TEST(Timeline, ChainedBarriersSerializeEverything) {
   Timeline tl(32);
   for (int i = 0; i < 4; ++i) {
-    tl.submit({"k", static_cast<StreamId>(i + 1), Resource::kDeviceMemory,
-               0.0, 1e-3, 0});
+    tl.submit(item("k", static_cast<StreamId>(i + 1),
+                   Resource::kDeviceMemory, 0.0, 1e-3));
     tl.barrier();
   }
   EXPECT_NEAR(tl.simulate(), 4e-3, 1e-6);
@@ -399,9 +412,9 @@ TEST(WarpTracerUnit, StraddlingAccessCountsBothSegments) {
 TEST(Timeline, EventTimesTrackCompletion) {
   Timeline tl(32);
   const std::size_t e0 = tl.record_event();  // before anything
-  tl.submit({"a", 0, Resource::kDeviceMemory, 0.0, 1e-3, 0});
+  tl.submit(item("a", 0, Resource::kDeviceMemory, 0.0, 1e-3));
   const std::size_t e1 = tl.record_event();
-  tl.submit({"b", 0, Resource::kDeviceMemory, 0.0, 2e-3, 0});
+  tl.submit(item("b", 0, Resource::kDeviceMemory, 0.0, 2e-3));
   const std::size_t e2 = tl.record_event();
   tl.simulate();
   EXPECT_NEAR(tl.event_time_s(e0), 0.0, 1e-12);
@@ -467,7 +480,7 @@ TEST(Timeline, EventBeforeAnyItemIsZero) {
 
   tl.clear();
   const std::size_t e2 = tl.record_event();
-  tl.submit({"later", 0, Resource::kDeviceMemory, 1e-3, 0.0, 0});
+  tl.submit(item("later", 0, Resource::kDeviceMemory, 1e-3, 0.0));
   tl.simulate();
   // The event predates every item, so completing work can't move it.
   EXPECT_DOUBLE_EQ(tl.event_time_s(e2), 0.0);
@@ -475,11 +488,11 @@ TEST(Timeline, EventBeforeAnyItemIsZero) {
 
 TEST(Timeline, EventAfterBarrierSeesAllPriorWork) {
   Timeline tl(32);
-  tl.submit({"s0", 0, Resource::kDeviceMemory, 0.0, 1e-3, 0});
-  tl.submit({"s1", 1, Resource::kDeviceMemory, 0.0, 4e-3, 0});
+  tl.submit(item("s0", 0, Resource::kDeviceMemory, 0.0, 1e-3));
+  tl.submit(item("s1", 1, Resource::kDeviceMemory, 0.0, 4e-3));
   tl.barrier();
   const std::size_t e = tl.record_event();
-  tl.submit({"tail", 2, Resource::kDeviceMemory, 0.0, 1e-3, 0});
+  tl.submit(item("tail", 2, Resource::kDeviceMemory, 0.0, 1e-3));
   const double makespan = tl.simulate();
   // The event covers both pre-barrier streams (slowest: 4 ms), and the
   // post-barrier item starts no earlier than that.
@@ -491,8 +504,8 @@ TEST(Timeline, EventAfterBarrierSeesAllPriorWork) {
 TEST(Timeline, RepeatedSimulateIsIdempotent) {
   Timeline tl(4);
   for (int i = 0; i < 8; ++i)
-    tl.submit({"k" + std::to_string(i), static_cast<StreamId>(i % 3),
-               Resource::kDeviceMemory, 1e-3, 5e-4, 0});
+    tl.submit(item("k" + std::to_string(i), static_cast<StreamId>(i % 3),
+                   Resource::kDeviceMemory, 1e-3, 5e-4));
   const std::size_t e = tl.record_event();
   const double first = tl.simulate();
   const auto sched = tl.schedule();

@@ -1,9 +1,10 @@
 // Fleet scheduler regression sweep: per-device dependency scoping,
-// deadlock detection, PCIe staging admission policies, interval-union
-// busy accounting, the per-signal cost model, and mixed-shape fleet
-// execution. The raw-timeline tests inject TimelineItems directly
-// (Device::timeline() mutable access) to reach schedules the kernel API
-// cannot produce — dangling deps, cycles, bare concurrent copies.
+// deadlock detection, the replay cache, merged-vs-solo schedules, PCIe
+// staging admission policies, interval-union busy accounting, the
+// per-signal cost model, and mixed-shape fleet execution. The raw-timeline
+// tests inject TimelineItems directly (Device::timeline() mutable access)
+// to reach schedules the kernel API cannot produce — dangling deps,
+// cycles, bare concurrent copies.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -149,8 +150,11 @@ TEST(FleetSched, DeadlockedTimelineThrows) {
     group.simulate();
     FAIL() << "expected DeviceGroup::simulate to throw";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("deadlock"), std::string::npos)
-        << e.what();
+    // The error names the item that can never start and its device.
+    const std::string what = e.what();
+    EXPECT_NE(what.find("deadlock"), std::string::npos) << what;
+    EXPECT_NE(what.find("'self'"), std::string::npos) << what;
+    EXPECT_NE(what.find("device 1"), std::string::npos) << what;
   }
 }
 
@@ -160,6 +164,83 @@ TEST(FleetSched, DependencyCycleThrows) {
   tl.submit(kernel_item("x", 0, 1e-3, {1}));
   tl.submit(kernel_item("y", 1, 1e-3, {0}));
   EXPECT_THROW(group.simulate(), std::runtime_error);
+}
+
+// ---- one replay loop: cache and per-timeline scoping -----------------
+
+TEST(FleetSched, ReplayCacheFollowsTimelinesAndStaging) {
+  // simulate() serves its cached schedule until a device timeline or the
+  // staging policy changes; each such change must show in the next result.
+  DeviceGroup group(2);
+  group.device(0).timeline().submit(copy_item("h2d0", 1, 1e-3));
+  group.device(1).timeline().submit(copy_item("h2d1", 1, 1e-3));
+  EXPECT_DOUBLE_EQ(group.simulate().makespan_s, 2e-3);
+
+  // A raw submission on one device: the kernel waits for its stream's copy.
+  group.device(1).timeline().submit(kernel_item("k", 1, 1e-3));
+  const auto grown = group.simulate();
+  ASSERT_EQ(grown.items[1].size(), 2u);
+  EXPECT_DOUBLE_EQ(grown.items[1][1].start_s, 2e-3);
+  EXPECT_DOUBLE_EQ(grown.makespan_s, 3e-3);
+  EXPECT_DOUBLE_EQ(grown.busy_s[1], 1e-3);
+
+  // Round-robin staging serializes the copies: device 1 queues for 1 ms.
+  group.set_staging(PcieStaging::RoundRobin());
+  const auto staged = group.simulate();
+  EXPECT_DOUBLE_EQ(staged.items[1][0].start_s, 1e-3);
+  EXPECT_DOUBLE_EQ(staged.pcie_queue_s[1], 1e-3);
+
+  // A fresh capture empties every timeline.
+  group.begin_capture();
+  const auto fresh = group.simulate();
+  EXPECT_DOUBLE_EQ(fresh.makespan_s, 0.0);
+  EXPECT_TRUE(fresh.items[0].empty());
+  EXPECT_TRUE(fresh.items[1].empty());
+}
+
+TEST(FleetSched, KernelOnlyDevicesReplayAsTheirOwnTimelines) {
+  // Devices share only the PCIe link, so with kernel-only timelines every
+  // device's merged schedule is its own Timeline::simulate() schedule, up
+  // to rounding: the shared clock steps through every device's events.
+  // Random streams, barriers, deps and kernel windows pin that all four
+  // stay scoped to their own timeline in the one replay loop.
+  Rng rng(1617);
+  for (int trial = 0; trial < 100; ++trial) {
+    std::vector<perfmodel::GpuSpec> specs(2 + rng.next_below(2),
+                                          perfmodel::GpuSpec::k20x());
+    for (auto& spec : specs)
+      spec.max_concurrent_kernels =
+          1 + static_cast<unsigned>(rng.next_below(4));
+    DeviceGroup group(specs);
+    for (std::size_t d = 0; d < group.size(); ++d) {
+      auto& tl = group.device(d).timeline();
+      const std::size_t count = 1 + rng.next_below(40);
+      for (std::size_t i = 0; i < count; ++i) {
+        if (rng.next_below(8) == 0) tl.barrier();
+        std::vector<std::size_t> deps;
+        if (i > 0 && rng.next_below(3) == 0) deps.push_back(rng.next_below(i));
+        TimelineItem it =
+            kernel_item("k", static_cast<cusim::StreamId>(rng.next_below(4)),
+                        1e-4 * static_cast<double>(1 + rng.next_below(10)),
+                        std::move(deps));
+        it.mem_s = 1e-4 * static_cast<double>(rng.next_below(10));
+        tl.submit(it);
+      }
+    }
+    const auto fs = group.simulate();
+    for (std::size_t d = 0; d < group.size(); ++d) {
+      cusim::Timeline& tl = group.device(d).timeline();
+      tl.simulate();
+      const auto& solo = tl.schedule();
+      ASSERT_EQ(fs.items[d].size(), solo.size());
+      for (std::size_t i = 0; i < solo.size(); ++i) {
+        EXPECT_NEAR(fs.items[d][i].start_s, solo[i].start_s, 1e-12)
+            << "trial " << trial << " device " << d << " item " << i;
+        EXPECT_NEAR(fs.items[d][i].finish_s, solo[i].finish_s, 1e-12)
+            << "trial " << trial << " device " << d << " item " << i;
+      }
+    }
+  }
 }
 
 // ---- PCIe staging admission ------------------------------------------

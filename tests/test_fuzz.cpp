@@ -342,9 +342,10 @@ TEST(Fuzz, ServerSubmissionsTerminateOnceAndMatchSinglePlan) {
           FAIL() << "trial=" << trial << " id=" << sub.id
                  << " never terminated";
       }
-      if (sub.cancelled)
+      if (sub.cancelled) {
         EXPECT_EQ(resp.outcome, serve::Outcome::kShed)
             << "trial=" << trial << " id=" << sub.id;
+      }
       if (resp.outcome != serve::Outcome::kCompleted) continue;
       cusim::Device dev;
       gpu::GpuPlan plan(dev, serve::trace_params(sub.e, 2029), cfg.opts);

@@ -302,7 +302,9 @@ TEST(SignalVariants, NoiseSweepDegradesGracefully) {
     const auto got = plan.execute(sig.x);
     const cvec oracle = densify(sig.truth, n);
     const double recall = location_recall(got, oracle, k);
-    if (sigma <= 1e-5) EXPECT_DOUBLE_EQ(recall, 1.0) << sigma;
+    if (sigma <= 1e-5) {
+      EXPECT_DOUBLE_EQ(recall, 1.0) << sigma;
+    }
     last_recall = recall;
   }
   EXPECT_GE(last_recall, 0.5);  // even the noisiest case finds most tones

@@ -234,9 +234,10 @@ TEST(GoldenTimeline, PipelinedBatchScheduleIsDependencyConsistent) {
   bool any_deps = false, any_overlap = false;
   for (std::size_t i = 0; i < items.size(); ++i) {
     if (const auto it = prev_on_stream.find(items[i].stream);
-        it != prev_on_stream.end())
+        it != prev_on_stream.end()) {
       EXPECT_GE(sched[i].start_s, sched[it->second].finish_s - kEps)
           << "FIFO violated at item " << i << " (" << items[i].name << ")";
+    }
     prev_on_stream[items[i].stream] = i;
     for (const std::size_t d : items[i].deps) {
       any_deps = true;

@@ -312,7 +312,9 @@ TEST(CaptureProfile, PipelinedBatchScopesPhasesPerStream) {
     const PhaseSpan* prev = nullptr;
     for (const PhaseSpan& ph : prof.phases) {
       if (ph.stream != s) continue;
-      if (prev != nullptr) EXPECT_GE(ph.start_ms, prev->end_ms - 1e-9);
+      if (prev != nullptr) {
+        EXPECT_GE(ph.start_ms, prev->end_ms - 1e-9);
+      }
       prev = &ph;
     }
   }

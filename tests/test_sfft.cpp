@@ -342,8 +342,9 @@ TEST(SparseInverse, RecoversTimeDomainPeaks) {
   cvec oracle = x;  // "spectrum" of the inverse problem is x itself
   EXPECT_DOUBLE_EQ(location_recall(got, oracle, 3), 1.0);
   for (const auto& c : got) {
-    if (c.loc == 100 || c.loc == 5000 || c.loc == 8000)
+    if (c.loc == 100 || c.loc == 5000 || c.loc == 8000) {
       EXPECT_NEAR(std::abs(c.val - x[c.loc]), 0.0, 1e-6) << c.loc;
+    }
   }
 }
 
