@@ -3,9 +3,9 @@
 #include <cstdlib>
 #include <map>
 #include <mutex>
-#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 
 #include "core/rng.hpp"
 #include "cusfft/plan.hpp"
@@ -49,25 +49,23 @@ std::optional<sfft::Algorithm> algo_override_from_env() {
 
 namespace {
 
-/// Cache key: every Params field that shapes either backend's kernel
-/// sequence, plus the noise level, the device spec, and the transfer
-/// toggle. (seed is included — it draws the calibration signal and the
-/// cusFFT permutations.)
-std::string cell_key(const sfft::Params& p, const perfmodel::GpuSpec& spec,
-                     const Options& opts, double noise) {
-  std::ostringstream os;
-  os << p.n << '/' << p.k << '/' << p.bcst << '/' << p.loops_loc << '/'
-     << p.loops_est << '/' << p.loc_threshold << '/' << p.cutoff_mult << '/'
-     << p.comb << '/' << p.comb_cst << '/' << p.comb_rounds << '/'
-     << p.comb_keep_mult << '/' << p.seed << '/' << p.ffast_stages << '/'
-     << p.ffast_bin_mult << '/' << noise << '/' << spec.name << '/'
-     << opts.include_transfer;
-  return os.str();
+/// Cache key: the whole shape (seed included — it draws the calibration
+/// signal and the cusFFT permutations), the options, the noise level and
+/// the device spec. The shape's algo is normalized away: a cell measures
+/// both backends, so a kAuto picker shares the cell a fixed-backend
+/// oracle calibrated.
+using CellKey = std::tuple<sfft::Params, Options, double, std::string>;
+
+CellKey cell_key(const sfft::Params& p, const perfmodel::GpuSpec& spec,
+                 const Options& opts, double noise) {
+  sfft::Params shape = p;
+  shape.algo = sfft::Algorithm::kCusfft;
+  return {shape, opts, noise, spec.name};
 }
 
 std::mutex g_table_mu;
-std::map<std::string, CrossoverCell>& table() {
-  static std::map<std::string, CrossoverCell> t;
+std::map<CellKey, CrossoverCell>& table() {
+  static std::map<CellKey, CrossoverCell> t;
   return t;
 }
 
@@ -88,7 +86,7 @@ double measure_backend(const sfft::Params& p, sfft::Algorithm algo,
 CrossoverCell calibrate_cell(const sfft::Params& p,
                              const perfmodel::GpuSpec& spec,
                              const Options& opts, double noise) {
-  const std::string key = cell_key(p, spec, opts, noise);
+  const CellKey key = cell_key(p, spec, opts, noise);
   {
     std::lock_guard<std::mutex> lock(g_table_mu);
     auto it = table().find(key);

@@ -61,8 +61,8 @@ struct CrossoverCell {
 /// Measured calibration for p's shape at `noise` on a scratch device with
 /// `spec`: runs both backends once on the same deterministic synthetic
 /// signal (seeded from p.seed) and caches the cell process-wide (keyed by
-/// every Params field that shapes the kernel sequence, the noise level,
-/// the spec name, and Options::include_transfer). Thread-safe.
+/// every Params field but algo, all of Options, the noise level and the
+/// spec name). Thread-safe.
 CrossoverCell calibrate_cell(const sfft::Params& p,
                              const perfmodel::GpuSpec& spec,
                              const Options& opts, double noise = 0.0);

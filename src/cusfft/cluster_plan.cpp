@@ -9,7 +9,7 @@
 #include "core/rng.hpp"
 #include "core/timer.hpp"
 #include "cusfft/autopick.hpp"
-#include "cusim/metrics.hpp"
+#include "cusfft/batch_rollup.hpp"
 #include "fft/fft.hpp"
 #include "sfft/steps.hpp"
 #include "signal/filter.hpp"
@@ -44,68 +44,6 @@ double node_signal_cost_s(const sfft::Params& p,
          launches * spec.kernel_launch_overhead_s;
 }
 
-/// The cluster-clock rollup shared by the batch and slab paths: makespan,
-/// NIC totals, each device's finish/PCIe/utilization from the merged
-/// schedule, and one GpuNodeShardStats per node. `shard` (one entry per
-/// global device, node-major) brings each device's signal count and solo
-/// time; the node-level imbalance spans the nodes with `worked[m]` set —
-/// the device split inside a node is its own fleet's story.
-GpuFleetStats cluster_rollup(const cusim::Cluster& cluster,
-                             const cusim::ClusterSchedule& cs,
-                             std::vector<GpuDeviceShardStats> shard,
-                             const std::vector<bool>& worked) {
-  GpuFleetStats st;
-  st.model_ms = cs.makespan_s * 1e3;
-  st.devices = cluster.devices();
-  st.nodes = cluster.nodes();
-  st.staging = cluster.staging().name();
-  st.nic_transfers = cs.nic.size();
-  st.nic_bytes = cs.nic_bytes;
-  for (const cusim::NicSpan& s : cs.nic)
-    st.nic_transfer_ms += (s.finish_s - s.start_s) * 1e3;
-
-  double finish_sum = 0, finish_max = 0;
-  std::size_t busy_nodes = 0, g = 0;
-  for (std::size_t m = 0; m < cluster.nodes(); ++m) {
-    const cusim::DeviceGroup& grp = cluster.node(m);
-    const cusim::FleetSchedule& f = cs.node_fleet[m];
-    GpuNodeShardStats ns;
-    ns.devices = grp.size();
-    double busy_sum = 0;
-    for (std::size_t d = 0; d < grp.size(); ++d, ++g) {
-      GpuDeviceShardStats ds = std::move(shard[g]);
-      ds.device = grp.device(d).spec().name;
-      ds.model_ms = f.finish_s[d] * 1e3;
-      ds.pcie_stall_ms = f.pcie_stall_s[d] * 1e3;
-      ds.pcie_queue_ms = f.pcie_queue_s[d] * 1e3;
-      if (st.model_ms > 0) ds.utilization = f.busy_s[d] * 1e3 / st.model_ms;
-      busy_sum += ds.utilization;
-      ns.signals += ds.signals;
-      st.pcie_stall_ms += ds.pcie_stall_ms;
-      st.pcie_queue_ms += ds.pcie_queue_ms;
-      st.per_device.push_back(std::move(ds));
-    }
-    ns.model_ms = cs.node_finish_s[m] * 1e3;
-    ns.offset_ms = cs.node_offset_s[m] * 1e3;
-    ns.nic_stall_ms = cs.nic_stall_s[m] * 1e3;
-    ns.nic_queue_ms = cs.nic_queue_s[m] * 1e3;
-    for (const cusim::NicSpan& s : cs.nic)
-      if (s.node == m) ns.nic_bytes += s.bytes;
-    ns.utilization = grp.size() > 0 ? busy_sum / grp.size() : 0.0;
-    st.nic_stall_ms += ns.nic_stall_ms;
-    st.nic_queue_ms += ns.nic_queue_ms;
-    if (worked[m]) {
-      finish_sum += ns.model_ms;
-      finish_max = std::max(finish_max, ns.model_ms);
-      ++busy_nodes;
-    }
-    st.per_node.push_back(std::move(ns));
-  }
-  if (busy_nodes > 0 && finish_sum > 0)
-    st.imbalance = finish_max / (finish_sum / busy_nodes);
-  return st;
-}
-
 }  // namespace
 
 struct ClusterPlan::Impl {
@@ -117,6 +55,7 @@ struct ClusterPlan::Impl {
   // slab path drives the devices directly and must stay usable when the
   // full batch plan would not fit device memory (the oversized demo).
   std::vector<std::unique_ptr<MultiGpuPlan>> node_plans;
+  std::vector<cusim::DeviceGroup*> groups;  // node order
   std::vector<std::size_t> base;  // node -> first global device index
 
   void ensure_node_plans() {
@@ -148,6 +87,7 @@ ClusterPlan::ClusterPlan(cusim::Cluster& cluster, sfft::Params params,
   impl_->opts = opts;
   std::size_t base = 0;
   for (std::size_t m = 0; m < cluster.nodes(); ++m) {
+    impl_->groups.push_back(&cluster.node(m));
     impl_->base.push_back(base);
     base += cluster.node(m).size();
   }
@@ -234,9 +174,6 @@ std::vector<SparseSpectrum> ClusterPlan::execute_mixed(
     BatchMode mode) {
   const std::size_t M = impl_->cluster->nodes();
   impl_->ensure_node_plans();
-  // Degenerate cluster: the batch IS a fleet batch. Delegating wholesale
-  // keeps every artifact bit-identical to MultiGpuPlan (tests pin this).
-  if (M == 1) return impl_->node_plans[0]->execute_mixed(signals, stats, mode);
 
   cusim::Cluster& cluster = *impl_->cluster;
   const std::size_t batch = signals.size();
@@ -256,58 +193,33 @@ std::vector<SparseSpectrum> ClusterPlan::execute_mixed(
       cluster.add_ingress(static_cast<unsigned>(assign[i]), "nic_stage",
                           static_cast<double>(shapes[i].n * sizeof(cplx)));
 
-  // Run each node's shard through its MultiGpuPlan — sequentially on the
-  // host: the flat-filter cache and BufferPool are process-global, and
-  // the node plans must not race on them. Each call opens a fresh (still
-  // empty) capture region on its own group and publishes its own fleet
-  // metrics — the single fleet-level publication per node batch; the
-  // merged stats below add only the cusfft_cluster_*/cusfft_node_*
-  // layer on top.
+  // Run each node's shard through its MultiGpuPlan's shard runner —
+  // sequentially on the host: the flat-filter cache and BufferPool are
+  // process-global, and the node plans must not race on them. Nothing is
+  // replayed or published per node: the batch is rolled up and published
+  // once, on the cluster clock.
   std::vector<SparseSpectrum> out(batch);
-  std::vector<GpuFleetStats> node_fs(M);
-  WallTimer wall;
+  GpuFleetStats st;
+  st.per_signal.resize(batch);
+  st.device_of.resize(batch);
   for (std::size_t m = 0; m < M; ++m) {
     if (node_sigs[m].empty()) continue;
     std::vector<MixedSignal> shard;
     shard.reserve(node_sigs[m].size());
     for (const std::size_t i : node_sigs[m]) shard.push_back(signals[i]);
-    auto outs = impl_->node_plans[m]->execute_mixed(shard, &node_fs[m], mode);
-    for (std::size_t j = 0; j < node_sigs[m].size(); ++j)
-      out[node_sigs[m][j]] = std::move(outs[j]);
-  }
-  const double host_ms = wall.ms();
-
-  const cusim::ClusterSchedule cs = cluster.simulate();
-
-  std::vector<GpuDeviceShardStats> shard(cluster.devices());
-  std::vector<bool> worked(M);
-  for (std::size_t m = 0; m < M; ++m) {
-    worked[m] = !node_sigs[m].empty();
-    if (!worked[m]) continue;
-    const GpuFleetStats& fs = node_fs[m];
-    for (std::size_t d = 0; d < fs.per_device.size(); ++d) {
-      shard[impl_->base[m] + d].signals = fs.per_device[d].signals;
-      shard[impl_->base[m] + d].solo_ms = fs.per_device[d].solo_ms;
-    }
-  }
-  GpuFleetStats st = cluster_rollup(cluster, cs, std::move(shard), worked);
-  st.host_ms = host_ms;
-  st.signals = batch;
-  st.node_of = assign;
-  st.device_of.assign(batch, 0);
-  st.per_signal.resize(batch);
-  for (std::size_t m = 0; m < M; ++m) {
-    const GpuFleetStats& fs = node_fs[m];
+    GpuFleetStats rec;
+    auto outs = impl_->node_plans[m]->run_shards(shard, mode, rec);
     for (std::size_t j = 0; j < node_sigs[m].size(); ++j) {
       const std::size_t i = node_sigs[m][j];
-      st.device_of[i] = impl_->base[m] + fs.device_of[j];
-      st.per_signal[i] = fs.per_signal[j];
-      st.candidates += st.per_signal[i].candidates;
+      out[i] = std::move(outs[j]);
+      st.per_signal[i] = std::move(rec.per_signal[j]);
+      st.device_of[i] = impl_->base[m] + rec.device_of[j];
     }
-    st.pipelined = st.pipelined || (worked[m] && fs.pipelined);
+    st.pipelined = st.pipelined || rec.pipelined;
+    st.host_ms += rec.host_ms;
   }
-  st.to_cluster_metrics(cusim::MetricsRegistry::global());
-  if (stats != nullptr) *stats = std::move(st);
+  detail::roll_up_batch(std::move(st), impl_->groups, cluster.simulate(),
+                        stats);
   return out;
 }
 
@@ -522,27 +434,16 @@ SparseSpectrum ClusterPlan::execute_slab(std::span<const cplx> x,
                   acc.load(t, i % (L * B));
                   t.add_flops(40.0 + 8.0 * L);
                 });
-  const double host_ms = wall.ms();
-
-  const cusim::ClusterSchedule cs = cluster.simulate();
-
   // Every node bins its slab, but the spectrum materializes on the head
-  // node's first device.
-  std::vector<GpuDeviceShardStats> shard(cluster.devices());
-  shard[impl_->base[0]].signals = 1;
-  GpuFleetStats st = cluster_rollup(cluster, cs, std::move(shard),
-                                    std::vector<bool>(M, true));
-  st.host_ms = host_ms;
-  st.signals = 1;
-  st.candidates = out.size();
-  st.node_of = {0};
+  // node's first device. The signal's window spans the whole capture.
+  GpuFleetStats st;
+  st.host_ms = wall.ms();
+  const cusim::ClusterSchedule cs = cluster.simulate();
   st.device_of = {impl_->base[0]};
   st.per_signal.resize(1);
-  st.per_signal[0].start_ms = 0;
-  st.per_signal[0].end_ms = st.model_ms;
+  st.per_signal[0].end_ms = cs.makespan_s * 1e3;
   st.per_signal[0].candidates = out.size();
-  st.to_cluster_metrics(cusim::MetricsRegistry::global());
-  if (stats != nullptr) *stats = std::move(st);
+  detail::roll_up_batch(std::move(st), impl_->groups, cs, stats);
   return out;
 }
 

@@ -14,12 +14,13 @@
 //   except the head (node 0 is co-located with the data, so its shard
 //   pays no NIC). The LPT pass then reuses the fleet discipline across
 //   the node x device hierarchy: signals place onto the node with the
-//   smallest projected finish, and each node's MultiGpuPlan re-shards
-//   its slice across its own devices. Ingress staging is recorded as
-//   modeled NIC transfers overlapped with compute (a node starts after
-//   its *first* payload lands). At M = 1 every call delegates verbatim
-//   to the node's MultiGpuPlan — stats, artifacts, and spectra are the
-//   fleet's, bit for bit.
+//   smallest projected finish, and each node's MultiGpuPlan shard runner
+//   re-shards its slice across its own devices. Ingress staging is
+//   recorded as modeled NIC transfers overlapped with compute (a node
+//   starts after its *first* payload lands). The batch is then replayed
+//   once on the cluster clock, rolled up once and published once, at
+//   every M: at M = 1 that path is the fleet's, so stats, artifacts and
+//   spectra equal MultiGpuPlan's bit for bit.
 //
 //   execute_slab — one oversized signal, input-slice decomposition. The
 //   time-domain input splits into M contiguous slices; node m stages
@@ -30,6 +31,8 @@
 //   (NIC exchange + barrier), reduces, and runs the estimation phase.
 //   Summing partials regroups the floating-point accumulation, so the
 //   slab spectrum is accuracy-tested against SerialPlan, not memcmp'd.
+//   The slab is recorded and published like any batch of one signal on
+//   the head node's first device.
 //
 // Ordering contract matches MultiGpuPlan: spectra and per_signal stats
 // in input order; device_of carries *global* (node-major) device
@@ -79,9 +82,9 @@ class ClusterPlan {
       std::span<const sfft::Params> shapes) const;
 
   /// Shards the batch across nodes, records the NIC ingress, runs each
-  /// node's shard through its MultiGpuPlan, and merges everything on the
-  /// cluster clock. Results in input order; at M = 1 bit-identical to
-  /// MultiGpuPlan::execute_many.
+  /// node's shard through its MultiGpuPlan's shard runner, and rolls the
+  /// batch up once on the cluster clock. Results in input order; at
+  /// M = 1 bit-identical to MultiGpuPlan::execute_many.
   std::vector<SparseSpectrum> execute_many(
       std::span<const std::span<const cplx>> xs,
       GpuFleetStats* stats = nullptr, BatchMode mode = BatchMode::kAuto);

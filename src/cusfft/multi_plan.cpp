@@ -8,53 +8,16 @@
 #include <optional>
 #include <stdexcept>
 #include <thread>
-#include <tuple>
 #include <utility>
 
 #include "core/timer.hpp"
 #include "cusfft/autopick.hpp"
+#include "cusfft/batch_rollup.hpp"
 #include "cusim/metrics.hpp"
 #include "sfft/ffast.hpp"
 #include "signal/filter.hpp"
 
 namespace cusfft::gpu {
-
-namespace {
-
-/// Everything that makes two Params produce distinct GpuPlans — the
-/// mixed-shape plan cache key. The algorithm (and the FFAST shape knobs)
-/// are load-bearing members: before they were added, two same-shape
-/// submissions differing only in backend aliased to one plan, so the
-/// second silently ran the first's algorithm (regression-pinned in
-/// test_multigpu.cpp).
-using ShapeKey =
-    std::tuple<std::size_t, std::size_t, double, std::size_t, std::size_t,
-               std::size_t, double, int, double, double, double, bool,
-               double, std::size_t, double, u64, int, std::size_t, double>;
-
-ShapeKey shape_key(const sfft::Params& p) {
-  return {p.n,
-          p.k,
-          p.bcst,
-          p.loops_loc,
-          p.loops_est,
-          p.loc_threshold,
-          p.cutoff_mult,
-          static_cast<int>(p.filter.kind),
-          p.filter.tolerance,
-          p.filter.lobefrac_scale,
-          p.filter.boxcar_scale,
-          p.comb,
-          p.comb_cst,
-          p.comb_rounds,
-          p.comb_keep_mult,
-          p.seed,
-          static_cast<int>(p.algo),
-          p.ffast_stages,
-          p.ffast_bin_mult};
-}
-
-}  // namespace
 
 double modeled_signal_cost_s(const sfft::Params& p,
                              const perfmodel::GpuSpec& spec,
@@ -151,13 +114,15 @@ struct MultiGpuPlan::Impl {
   std::vector<double> weight;  // legacy kUnitGreedy per-device cost
   /// Mixed-shape plan cache: per device, one GpuPlan per distinct
   /// RESOLVED shape seen by execute_mixed (the ctor shape reuses
-  /// `plans`). Built serially before shard threads fan out; shard
-  /// threads only read.
-  std::vector<std::map<ShapeKey, std::unique_ptr<GpuPlan>>> cache;
+  /// `plans`). Keyed on every Params field: two same-shape submissions
+  /// that differ only in backend must not alias to one plan
+  /// (regression-pinned in test_multigpu.cpp). Built serially before
+  /// shard threads fan out; shard threads only read.
+  std::vector<std::map<sfft::Params, std::unique_ptr<GpuPlan>>> cache;
 
   GpuPlan& plan_for(std::size_t d, const sfft::Params& p) {
-    if (shape_key(p) == shape_key(plan_shape)) return *plans[d];
-    auto& slot = cache[d][shape_key(p)];
+    if (p == plan_shape) return *plans[d];
+    auto& slot = cache[d][p];
     if (!slot)
       slot = std::make_unique<GpuPlan>(group->device(d), p, opts);
     return *slot;
@@ -172,7 +137,7 @@ MultiGpuPlan::MultiGpuPlan(cusim::DeviceGroup& group, sfft::Params params,
   // GpuPlan refuses unresolved kAuto; the eager per-device plans take the
   // default backend and the picker's per-signal choices go through the
   // shape cache (a kFfast pick never aliases back onto these plans — the
-  // algorithm is part of ShapeKey).
+  // algorithm is part of the cache key).
   impl_->plan_shape = params;
   if (impl_->plan_shape.algo == sfft::Algorithm::kAuto)
     impl_->plan_shape.algo = sfft::Algorithm::kCusfft;
@@ -268,6 +233,22 @@ std::vector<SparseSpectrum> MultiGpuPlan::execute_many(
 std::vector<SparseSpectrum> MultiGpuPlan::execute_mixed(
     std::span<const MixedSignal> signals, GpuFleetStats* stats,
     BatchMode mode) {
+  GpuFleetStats st;
+  std::vector<SparseSpectrum> out = run_shards(signals, mode, st);
+  // The fleet is the one-node cluster: its merged schedule, lifted to a
+  // one-node ClusterSchedule, takes the same rollup and publication as
+  // every cluster batch.
+  cusim::ClusterSchedule cs;
+  cs.node_fleet.push_back(impl_->group->simulate());
+  cs.makespan_s = cs.node_fleet[0].makespan_s;
+  cusim::DeviceGroup* const node = impl_->group;
+  detail::roll_up_batch(std::move(st), {&node, 1}, cs, stats);
+  return out;
+}
+
+std::vector<SparseSpectrum> MultiGpuPlan::run_shards(
+    std::span<const MixedSignal> signals, BatchMode mode,
+    GpuFleetStats& rec) {
   const std::size_t ndev = impl_->plans.size();
   const std::size_t batch = signals.size();
   cusim::DeviceGroup& group = *impl_->group;
@@ -284,7 +265,7 @@ std::vector<SparseSpectrum> MultiGpuPlan::execute_mixed(
   // determinism).
   for (auto& sh : shapes)
     sh.algo = resolve_algorithm(sh, group.device(0).spec(), impl_->opts);
-  const std::vector<std::size_t> assign = shard_assignment(shapes);
+  rec.device_of = shard_assignment(shapes);
 
   // Each device's shard, grouped by shape in first-appearance order: one
   // GpuPlan per distinct shape runs one (pipelined) batch per group.
@@ -293,17 +274,14 @@ std::vector<SparseSpectrum> MultiGpuPlan::execute_mixed(
     std::vector<std::size_t> idx;  // input indices, input order
   };
   std::vector<std::vector<Group>> groups(ndev);
-  std::vector<std::size_t> shard_size(ndev, 0);
   for (std::size_t i = 0; i < batch; ++i) {
-    const std::size_t d = assign[i];
-    ++shard_size[d];
+    const std::size_t d = rec.device_of[i];
     // Group by the RESOLVED shape: two kAuto signals picked onto
     // different backends land in different groups (and different cached
     // plans) even though their submitted Params were identical.
-    const ShapeKey key = shape_key(shapes[i]);
     auto it = std::find_if(
         groups[d].begin(), groups[d].end(),
-        [&](const Group& g) { return shape_key(g.p) == key; });
+        [&](const Group& g) { return g.p == shapes[i]; });
     if (it == groups[d].end()) {
       groups[d].push_back(Group{shapes[i], {i}});
     } else {
@@ -323,8 +301,7 @@ std::vector<SparseSpectrum> MultiGpuPlan::execute_mixed(
   group.begin_capture();
 
   std::vector<SparseSpectrum> out(batch);
-  std::vector<GpuSignalStats> per_signal(batch);
-  std::vector<std::size_t> shard_candidates(ndev, 0);
+  rec.per_signal.assign(batch, {});
   std::vector<char> shard_pipelined(ndev, 0);
   std::vector<std::exception_ptr> errors(ndev);
   WallTimer wall;
@@ -350,9 +327,8 @@ std::vector<SparseSpectrum> MultiGpuPlan::execute_mixed(
         auto outs = impl_->plan_for(d, g.p).execute_many_in_capture(
             std::span<const std::span<const cplx>>(views), &bs, mode);
         for (std::size_t j = 0; j < g.idx.size(); ++j) {
-          shard_candidates[d] += outs[j].size();
           out[g.idx[j]] = std::move(outs[j]);
-          per_signal[g.idx[j]] = std::move(bs.per_signal[j]);
+          rec.per_signal[g.idx[j]] = std::move(bs.per_signal[j]);
         }
         shard_pipelined[d] |= bs.pipelined ? 1 : 0;
       }
@@ -374,54 +350,94 @@ std::vector<SparseSpectrum> MultiGpuPlan::execute_mixed(
       threads.emplace_back([&run_shard, d] { run_shard(d); });
     for (auto& t : threads) t.join();
   }
-  const double host_ms = wall.ms();
+  rec.host_ms = wall.ms();
   for (const std::size_t d : active)
     if (errors[d]) std::rethrow_exception(errors[d]);
+  for (const std::size_t d : active)
+    rec.pipelined = rec.pipelined || shard_pipelined[d] != 0;
+  return out;
+}
 
-  // Merge the device timelines on the shared clock.
-  cusim::FleetSchedule fs = group.simulate();
+void detail::roll_up_batch(GpuFleetStats st,
+                           std::span<cusim::DeviceGroup* const> nodes,
+                           const cusim::ClusterSchedule& cs,
+                           GpuFleetStats* stats) {
+  const bool cluster = nodes.size() > 1;
+  st.model_ms = cs.makespan_s * 1e3;
+  st.signals = st.per_signal.size();
+  for (const GpuSignalStats& sig : st.per_signal)
+    st.candidates += sig.candidates;
+  st.nodes = nodes.size();
+  st.staging = nodes.front()->staging().name();
+  st.nic_transfers = cs.nic.size();
+  st.nic_bytes = cs.nic_bytes;
+  for (const cusim::NicSpan& s : cs.nic)
+    st.nic_transfer_ms += (s.finish_s - s.start_s) * 1e3;
 
-  // The fleet stats are assembled unconditionally: the always-on registry
-  // records every fleet batch (this is the single publication point for
-  // sharded signals — shard-level GpuBatchStats stay silent in-capture).
-  GpuFleetStats st;
-  st.model_ms = fs.makespan_s * 1e3;
-  st.host_ms = host_ms;
-  st.signals = batch;
-  st.devices = ndev;
-  st.staging = group.staging().name();
-  st.device_of = assign;
-  st.per_signal = std::move(per_signal);
+  std::vector<std::size_t> node_of_device;
+  for (std::size_t m = 0; m < nodes.size(); ++m)
+    node_of_device.resize(node_of_device.size() + nodes[m]->size(), m);
+  st.devices = node_of_device.size();
+  std::vector<std::size_t> device_signals(st.devices, 0);
+  for (const std::size_t g : st.device_of) ++device_signals[g];
+
+  // Imbalance is max/mean finish over the units that ran work: devices
+  // on one node, nodes on a cluster (the device split inside a node is
+  // its own fleet's story).
   double finish_sum = 0, finish_max = 0;
-  for (std::size_t d = 0; d < ndev; ++d) {
-    GpuDeviceShardStats ds;
-    ds.device = group.device(d).spec().name;
-    ds.signals = shard_size[d];
-    ds.model_ms = fs.finish_s[d] * 1e3;
-    ds.solo_ms = groups[d].empty()
-                     ? 0.0
-                     : group.device(d).elapsed_model_ms();
-    ds.pcie_stall_ms = fs.pcie_stall_s[d] * 1e3;
-    ds.pcie_queue_ms = fs.pcie_queue_s[d] * 1e3;
-    // Busy fraction of the fleet makespan (time >= 1 kernel resident):
-    // a device that finishes last but spent the window idling on PCIe
-    // reports low utilization, not ~1.0.
-    if (st.model_ms > 0) ds.utilization = fs.busy_s[d] * 1e3 / st.model_ms;
-    st.pcie_stall_ms += ds.pcie_stall_ms;
-    st.pcie_queue_ms += ds.pcie_queue_ms;
-    st.candidates += shard_candidates[d];
-    st.pipelined = st.pipelined || shard_pipelined[d] != 0;
-    if (shard_size[d] > 0) {
-      finish_sum += ds.model_ms;
-      finish_max = std::max(finish_max, ds.model_ms);
+  std::size_t ran = 0;
+  auto count_finish = [&](double ms) {
+    if (ms <= 0) return;
+    finish_sum += ms;
+    finish_max = std::max(finish_max, ms);
+    ++ran;
+  };
+  std::size_t g = 0;
+  for (std::size_t m = 0; m < nodes.size(); ++m) {
+    cusim::DeviceGroup& grp = *nodes[m];
+    const cusim::FleetSchedule& f = cs.node_fleet[m];
+    GpuNodeShardStats ns;
+    ns.devices = grp.size();
+    double busy_sum = 0;
+    for (std::size_t d = 0; d < grp.size(); ++d, ++g) {
+      GpuDeviceShardStats ds;
+      ds.device = grp.device(d).spec().name;
+      ds.signals = device_signals[g];
+      ds.model_ms = f.finish_s[d] * 1e3;
+      ds.solo_ms = ds.signals > 0 ? grp.device(d).elapsed_model_ms() : 0.0;
+      ds.pcie_stall_ms = f.pcie_stall_s[d] * 1e3;
+      ds.pcie_queue_ms = f.pcie_queue_s[d] * 1e3;
+      // Busy fraction of the batch makespan (time >= 1 kernel resident):
+      // a device that finishes last but spent the window idling on PCIe
+      // reports low utilization, not ~1.0.
+      if (st.model_ms > 0) ds.utilization = f.busy_s[d] * 1e3 / st.model_ms;
+      busy_sum += ds.utilization;
+      ns.signals += ds.signals;
+      st.pcie_stall_ms += ds.pcie_stall_ms;
+      st.pcie_queue_ms += ds.pcie_queue_ms;
+      if (!cluster) count_finish(ds.model_ms);
+      st.per_device.push_back(std::move(ds));
     }
-    st.per_device.push_back(std::move(ds));
+    if (!cluster) continue;
+    ns.model_ms = cs.node_finish_s[m] * 1e3;
+    ns.offset_ms = cs.node_offset_s[m] * 1e3;
+    ns.nic_stall_ms = cs.nic_stall_s[m] * 1e3;
+    ns.nic_queue_ms = cs.nic_queue_s[m] * 1e3;
+    for (const cusim::NicSpan& s : cs.nic)
+      if (s.node == m) ns.nic_bytes += s.bytes;
+    ns.utilization = busy_sum / static_cast<double>(grp.size());
+    st.nic_stall_ms += ns.nic_stall_ms;
+    st.nic_queue_ms += ns.nic_queue_ms;
+    count_finish(ns.model_ms);
+    st.per_node.push_back(std::move(ns));
   }
-  if (!active.empty() && finish_sum > 0)
-    st.imbalance = finish_max / (finish_sum / active.size());
+  if (cluster)
+    for (const std::size_t dev : st.device_of)
+      st.node_of.push_back(node_of_device[dev]);
+  if (ran > 0) st.imbalance = finish_max / (finish_sum / ran);
+
   st.to_metrics(cusim::MetricsRegistry::global());
   if (stats != nullptr) *stats = std::move(st);
-  return out;
 }
 
 void GpuFleetStats::to_metrics(cusim::MetricsRegistry& reg) const {
@@ -462,10 +478,8 @@ void GpuFleetStats::to_metrics(cusim::MetricsRegistry& reg) const {
   for (std::size_t i = 0; i < per_signal.size(); ++i)
     observe_signal_metrics(reg, per_signal[i],
                            i < device_of.size() ? device_of[i] : 0);
-}
 
-void GpuFleetStats::to_cluster_metrics(cusim::MetricsRegistry& reg) const {
-  using cusim::MetricsRegistry;
+  if (per_node.empty()) return;
   reg.counter("cusfft_cluster_batches_total").inc();
   reg.counter("cusfft_cluster_signals_total").add(signals);
   reg.counter("cusfft_cluster_nic_transfers_total").add(nic_transfers);

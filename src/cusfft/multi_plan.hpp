@@ -27,6 +27,12 @@
 // serially before the shard threads fan out) within a single device
 // capture, so the merged fleet schedule still covers the whole shard.
 //
+// One path after the shards run: a fleet batch is the one-node cluster
+// batch. ClusterPlan drives each node through the same private shard
+// runner, and every GpuFleetStats — fleet, cluster or slab — comes out of
+// one rollup of the replayed ClusterSchedule (a fleet lifts its
+// FleetSchedule to one node) and one to_metrics() publication.
+//
 // Ordering contract: the returned spectra and GpuFleetStats::per_signal
 // are ALWAYS in input order, whatever the shard assignment (tests pin
 // bit-identical equality with the single-device path).
@@ -107,9 +113,9 @@ struct GpuFleetStats {
   std::size_t devices = 0;
   bool pipelined = false;  // any shard ran the two-stream pipeline
   std::string staging;     // PcieStaging policy name the merge ran under
-  /// max/mean device finish over devices that received signals: 1.0 is a
-  /// perfectly balanced fleet, 2.0 means the slowest device ran twice as
-  /// long as the average.
+  /// max/mean finish over the devices that ran work (over the nodes when
+  /// nodes > 1): 1.0 is a perfectly balanced batch, 2.0 means the slowest
+  /// device ran twice as long as the average.
   double imbalance = 1.0;
   double pcie_stall_ms = 0;  // summed over devices
   double pcie_queue_ms = 0;  // summed staging admission wait
@@ -120,31 +126,26 @@ struct GpuFleetStats {
   std::vector<GpuSignalStats> per_signal;
   std::vector<std::size_t> device_of;  // input order: shard assignment
 
-  /// Cluster fields (ClusterPlan only; defaults describe a fleet batch so
-  /// every existing consumer is untouched). device_of stays the *global*
-  /// device index (node-major flattened); node_of is the node split.
+  /// Cluster fields (at nodes > 1 only; a one-node batch keeps the
+  /// defaults). device_of stays the *global* device index (node-major
+  /// flattened); node_of is the node split.
   std::size_t nodes = 1;
   double nic_stall_ms = 0;     // summed fabric-contention dilation
   double nic_queue_ms = 0;     // summed port-FIFO wait
   double nic_bytes = 0;        // total bytes crossing the fabric
   std::size_t nic_transfers = 0;
   double nic_transfer_ms = 0;  // summed NIC transfer spans
-  std::vector<GpuNodeShardStats> per_node;  // node order; empty for fleets
-  std::vector<std::size_t> node_of;         // input order; empty for fleets
+  std::vector<GpuNodeShardStats> per_node;  // node order; empty at 1 node
+  std::vector<std::size_t> node_of;         // input order; empty at 1 node
 
-  /// Folds this fleet batch into the always-on registry: fleet counters
-  /// and makespan/PCIe histograms, per-device utilization/finish gauges
-  /// and signal counters, and every signal's latency + phase spans
-  /// attributed to its assigned device. execute_mixed() publishes
-  /// automatically (the shard-level GpuBatchStats stay silent, so fleet
-  /// signals are counted exactly once).
+  /// Folds this batch into the always-on registry: fleet counters and
+  /// makespan/PCIe histograms, per-device utilization/finish gauges and
+  /// signal counters under global device labels, every signal's latency +
+  /// phase spans attributed to its assigned device, and — when per_node
+  /// is non-empty — the cusfft_cluster_* / cusfft_node_* series. Every
+  /// MultiGpuPlan and ClusterPlan batch publishes exactly once (the
+  /// shard-level GpuBatchStats stay silent).
   void to_metrics(cusim::MetricsRegistry& reg) const;
-
-  /// Cluster-only series (cusfft_cluster_* / cusfft_node_*). Published by
-  /// ClusterPlan on top of the per-node fleet publications — the fleet
-  /// series above fire once per node batch, so this layer deliberately
-  /// never re-counts signals or per-signal latencies.
-  void to_cluster_metrics(cusim::MetricsRegistry& reg) const;
 };
 
 class MultiGpuPlan {
@@ -194,6 +195,17 @@ class MultiGpuPlan {
       BatchMode mode = BatchMode::kAuto);
 
  private:
+  friend class ClusterPlan;
+
+  /// The shard runner every GPU batch takes (this plan's own batches and
+  /// each node of a ClusterPlan batch): resolves each signal's backend,
+  /// assigns the shards, builds their plans, opens the group capture and
+  /// runs one host thread per non-empty shard. Fills rec's per_signal,
+  /// device_of (this group's indices), pipelined and host_ms in the order
+  /// of `signals`; the replay, rollup and publication are the caller's.
+  std::vector<SparseSpectrum> run_shards(std::span<const MixedSignal> signals,
+                                         BatchMode mode, GpuFleetStats& rec);
+
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };

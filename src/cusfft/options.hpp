@@ -4,6 +4,8 @@
 // the ablation benches.
 #pragma once
 
+#include <compare>
+
 #include "custhrust/sort.hpp"
 
 namespace cusfft::gpu {
@@ -65,6 +67,8 @@ struct Options {
     o.fast_selection = true;
     return o;
   }
+
+  auto operator<=>(const Options&) const = default;
 };
 
 }  // namespace cusfft::gpu

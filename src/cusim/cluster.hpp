@@ -140,8 +140,6 @@ class Cluster {
   }
 
  private:
-  friend CaptureProfile collect_profile(Cluster& cluster);
-
   struct Transfer {
     std::string name;
     unsigned dst = 0;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <sstream>
 
 #include "cusim/cluster.hpp"
@@ -177,6 +178,63 @@ void build_kernels(CaptureProfile& p,
   }
 }
 
+/// The lane walk shared by the fleet and cluster profiles: every device of
+/// `groups`, node-major (lane == chrome-trace pid), on its node's rows of
+/// the merged schedule `node_fleet`, with `makespan_s` as the capture's
+/// clock. Fills the capture header from the first device's spec, the
+/// spans, phases and kernels, one DeviceLane per device, and the pool
+/// delta since the first group's begin_capture().
+CaptureProfile walk_lanes(std::span<DeviceGroup* const> groups,
+                          std::span<const FleetSchedule> node_fleet,
+                          double makespan_s) {
+  CaptureProfile p;
+  const perfmodel::GpuSpec& spec0 = groups.front()->device(0).spec();
+  p.device = spec0.name;
+  p.staging = groups.front()->staging().name();
+  p.model_ms = makespan_s * 1e3;
+  p.mem_bw_Bps = spec0.mem_bandwidth_Bps;
+  p.pcie_bw_Bps = spec0.pcie_bandwidth_Bps;
+  p.max_concurrent_kernels = spec0.max_concurrent_kernels;
+
+  std::map<std::string, KernelReport> merged;
+  double total_busy_ms = 0, total_window = 0;
+  unsigned lane = 0;
+  for (std::size_t m = 0; m < groups.size(); ++m) {
+    const FleetSchedule& f = node_fleet[m];
+    for (std::size_t d = 0; d < groups[m]->size(); ++d, ++lane) {
+      Device& dev = groups[m]->device(d);
+      const perfmodel::GpuSpec& spec = dev.spec();
+      const double busy_ms =
+          append_spans(p, dev.timeline(), f.items[d], lane,
+                       spec.mem_bandwidth_Bps, spec.pcie_bandwidth_Bps);
+      append_phases(p, dev, f.items[d], lane, p.model_ms);
+      merge_report(merged, dev);
+
+      DeviceLane dl;
+      dl.name = spec.name;
+      dl.model_ms = f.finish_s[d] * 1e3;
+      dl.busy_ms = busy_ms;
+      dl.utilization = p.model_ms > 0 ? dl.model_ms / p.model_ms : 0.0;
+      dl.pcie_stall_ms = f.pcie_stall_s[d] * 1e3;
+      dl.max_concurrent_kernels = spec.max_concurrent_kernels;
+      if (dl.model_ms > 0 && dl.max_concurrent_kernels > 0)
+        dl.occupancy_frac =
+            busy_ms / dl.model_ms / dl.max_concurrent_kernels;
+      p.lanes.push_back(std::move(dl));
+      total_busy_ms += busy_ms;
+      total_window += spec.max_concurrent_kernels;
+    }
+  }
+  if (p.model_ms > 0 && total_window > 0)
+    p.occupancy_frac = total_busy_ms / p.model_ms / total_window;
+  build_kernels(p, merged,
+                static_cast<double>(spec0.mem_transaction_bytes));
+
+  p.pool_begin = groups.front()->pool_stats_at_capture();
+  p.pool_end = BufferPool::global().stats();
+  return p;
+}
+
 }  // namespace
 
 CaptureProfile collect_profile(Device& dev) {
@@ -208,112 +266,36 @@ CaptureProfile collect_profile(Device& dev) {
 }
 
 CaptureProfile collect_profile(DeviceGroup& group) {
-  CaptureProfile p;
   const FleetSchedule fs = group.simulate();
-  const perfmodel::GpuSpec& spec0 = group.device(0).spec();
-  p.device = spec0.name;
-  p.staging = group.staging().name();
-  p.model_ms = fs.makespan_s * 1e3;
-  p.mem_bw_Bps = spec0.mem_bandwidth_Bps;
-  p.pcie_bw_Bps = spec0.pcie_bandwidth_Bps;
-  p.max_concurrent_kernels = spec0.max_concurrent_kernels;
-
-  std::map<std::string, KernelReport> merged;
-  double total_busy_ms = 0, total_window = 0;
-  for (std::size_t d = 0; d < group.size(); ++d) {
-    Device& dev = group.device(d);
-    const perfmodel::GpuSpec& spec = dev.spec();
-    const double busy_ms =
-        append_spans(p, dev.timeline(), fs.items[d],
-                     static_cast<unsigned>(d), spec.mem_bandwidth_Bps,
-                     spec.pcie_bandwidth_Bps);
-    append_phases(p, dev, fs.items[d], static_cast<unsigned>(d),
-                  p.model_ms);
-    merge_report(merged, dev);
-
-    DeviceLane lane;
-    lane.name = spec.name;
-    lane.model_ms = fs.finish_s[d] * 1e3;
-    lane.busy_ms = busy_ms;
-    lane.utilization = p.model_ms > 0 ? lane.model_ms / p.model_ms : 0.0;
-    lane.pcie_stall_ms = fs.pcie_stall_s[d] * 1e3;
-    lane.max_concurrent_kernels = spec.max_concurrent_kernels;
-    if (lane.model_ms > 0 && lane.max_concurrent_kernels > 0)
-      lane.occupancy_frac =
-          busy_ms / lane.model_ms / lane.max_concurrent_kernels;
-    p.lanes.push_back(std::move(lane));
-    total_busy_ms += busy_ms;
-    total_window += spec.max_concurrent_kernels;
-  }
-  if (p.model_ms > 0 && total_window > 0)
-    p.occupancy_frac = total_busy_ms / p.model_ms / total_window;
-  build_kernels(p, merged,
-                static_cast<double>(spec0.mem_transaction_bytes));
-
-  p.pool_begin = group.pool_stats_at_capture();
-  p.pool_end = BufferPool::global().stats();
-  return p;
+  DeviceGroup* const node = &group;
+  return walk_lanes({&node, 1}, {&fs, 1}, fs.makespan_s);
 }
 
 CaptureProfile collect_profile(Cluster& cluster) {
-  // The degenerate cluster is the fleet: same lanes, same serialization,
-  // byte for byte.
-  if (cluster.nodes() == 1) return collect_profile(cluster.node(0));
-
-  CaptureProfile p;
   const ClusterSchedule cs = cluster.simulate();
-  const perfmodel::GpuSpec& spec0 = cluster.node(0).device(0).spec();
-  p.device = spec0.name;
-  p.staging = cluster.staging().name();
-  p.model_ms = cs.makespan_s * 1e3;
-  p.mem_bw_Bps = spec0.mem_bandwidth_Bps;
-  p.pcie_bw_Bps = spec0.pcie_bandwidth_Bps;
-  p.max_concurrent_kernels = spec0.max_concurrent_kernels;
+  std::vector<DeviceGroup*> groups;
+  for (std::size_t m = 0; m < cluster.nodes(); ++m)
+    groups.push_back(&cluster.node(m));
+  CaptureProfile p = walk_lanes(groups, cs.node_fleet, cs.makespan_s);
+  // The one-node cluster is the fleet: no node lanes and no NIC, so every
+  // serialization stays in the fleet format, byte for byte.
+  if (cluster.nodes() == 1) return p;
+
   p.nic_bw_Bps = cluster.nic().bandwidth_Bps;
   p.nic_latency_s = cluster.nic().latency_s;
-
-  std::map<std::string, KernelReport> merged;
-  double total_busy_ms = 0, total_window = 0;
   unsigned lane = 0;
   for (std::size_t m = 0; m < cluster.nodes(); ++m) {
-    DeviceGroup& g = cluster.node(m);
-    const FleetSchedule& f = cs.node_fleet[m];
     NodeLane nl;
     nl.name = "n" + std::to_string(m);
     nl.first_lane = lane;
-    nl.lane_count = static_cast<unsigned>(g.size());
+    nl.lane_count = static_cast<unsigned>(groups[m]->size());
     nl.model_ms = cs.node_finish_s[m] * 1e3;
     nl.offset_ms = cs.node_offset_s[m] * 1e3;
     nl.nic_stall_ms = cs.nic_stall_s[m] * 1e3;
     nl.nic_queue_ms = cs.nic_queue_s[m] * 1e3;
-    for (std::size_t d = 0; d < g.size(); ++d) {
-      Device& dev = g.device(d);
-      const perfmodel::GpuSpec& spec = dev.spec();
-      const double busy_ms =
-          append_spans(p, dev.timeline(), f.items[d], lane,
-                       spec.mem_bandwidth_Bps, spec.pcie_bandwidth_Bps);
-      append_phases(p, dev, f.items[d], lane, p.model_ms);
-      merge_report(merged, dev);
-
-      DeviceLane dl;
-      dl.name = spec.name;
-      dl.model_ms = f.finish_s[d] * 1e3;
-      dl.busy_ms = busy_ms;
-      dl.utilization = p.model_ms > 0 ? dl.model_ms / p.model_ms : 0.0;
-      dl.pcie_stall_ms = f.pcie_stall_s[d] * 1e3;
-      dl.max_concurrent_kernels = spec.max_concurrent_kernels;
-      if (dl.model_ms > 0 && dl.max_concurrent_kernels > 0)
-        dl.occupancy_frac =
-            busy_ms / dl.model_ms / dl.max_concurrent_kernels;
-      p.lanes.push_back(std::move(dl));
-      total_busy_ms += busy_ms;
-      total_window += spec.max_concurrent_kernels;
-      ++lane;
-    }
+    lane += nl.lane_count;
     p.nodes.push_back(std::move(nl));
   }
-  if (p.model_ms > 0 && total_window > 0)
-    p.occupancy_frac = total_busy_ms / p.model_ms / total_window;
 
   // Modeled NIC transfers render on the destination node's first device
   // lane under the "NIC" track (cat "nic"), so the cross-node staging and
@@ -334,11 +316,6 @@ CaptureProfile collect_profile(Cluster& cluster) {
     p.nodes[s.node].nic_ms += dur_s * 1e3;
     p.spans.push_back(std::move(ts));
   }
-
-  build_kernels(p, merged,
-                static_cast<double>(spec0.mem_transaction_bytes));
-  p.pool_begin = cluster.pool_stats_at_capture();
-  p.pool_end = BufferPool::global().stats();
   return p;
 }
 

@@ -172,11 +172,12 @@ CaptureProfile collect_profile(DeviceGroup& group);
 
 class Cluster;  // cluster.hpp
 
-/// Merged cluster profile: node-major flattened device lanes on the
-/// cluster clock plus per-node NodeLanes and NIC transfer spans. At
-/// M == 1 this delegates to collect_profile(DeviceGroup&), so the
-/// degenerate cluster's artifacts are byte-identical to the fleet's
-/// (also available as Cluster::end_capture()).
+/// Merged cluster profile: the fleet profile's lane walk over every node
+/// (device lanes flattened node-major, on the cluster clock), plus
+/// per-node NodeLanes and NIC transfer spans when M > 1. At M == 1 the
+/// walk is the fleet's and nothing is added, so the degenerate cluster's
+/// artifacts are byte-identical to the fleet's (also available as
+/// Cluster::end_capture()).
 CaptureProfile collect_profile(Cluster& cluster);
 
 }  // namespace cusfft::cusim

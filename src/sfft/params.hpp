@@ -4,6 +4,7 @@
 // cross-implementation speedup comparisons are apples-to-apples.
 #pragma once
 
+#include <compare>
 #include <cstddef>
 #include <optional>
 #include <string_view>
@@ -100,6 +101,11 @@ struct Params {
 
   /// Throws std::invalid_argument unless the configuration is usable.
   void validate() const;
+
+  /// Memberwise, so every field (the backend and the FFAST knobs
+  /// included) tells two shapes apart: plan caches and the crossover
+  /// table key on Params itself.
+  auto operator<=>(const Params&) const = default;
 };
 
 /// Permutation parameters of one inner loop: time-domain stride `ai`

@@ -11,6 +11,7 @@
 //     estimation step's complex division (Algorithm 5, filter_freq[dist]).
 #pragma once
 
+#include <compare>
 #include <cstddef>
 #include <memory>
 #include <utility>
@@ -32,6 +33,8 @@ struct FlatFilterParams {
   double tolerance = 1e-8;   // sidelobe level
   double lobefrac_scale = 0.5;  // transition half-width = scale / B
   double boxcar_scale = 1.3;    // b = round(scale * n / B)
+
+  auto operator<=>(const FlatFilterParams&) const = default;
 };
 
 /// Builds the flat filter for signal size n (power of two) and B buckets.

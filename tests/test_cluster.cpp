@@ -9,10 +9,12 @@
 //   3. a 2-node cluster beats the 1-node fleet makespan by >= 1.5x at the
 //      bench shape while the NIC accounting (bytes/queue/stall, head node
 //      free) holds together;
-//   4. the merged cluster trace passes the CI artifact checks and the
-//      cluster metrics pass the metrics_check --cluster coverage gate;
-//   5. execute_slab refuses an oversized signal at M = 1 and recovers the
-//      SerialPlan support on a cluster whose per-slab footprint fits;
+//   4. the merged cluster trace passes the CI artifact checks, the
+//      cluster metrics pass the metrics_check --cluster coverage gate,
+//      and a batch publishes once, under global device labels;
+//   5. execute_slab refuses an oversized signal at M = 1, recovers the
+//      SerialPlan support on a cluster whose per-slab footprint fits, and
+//      is recorded and published like any batch;
 //   6. prepare() builds the node plans of the backend the plan's shape
 //      resolves to, so only that backend has to fit device memory.
 #include <gtest/gtest.h>
@@ -21,6 +23,7 @@
 #include <cstdlib>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -283,7 +286,7 @@ TEST(Cluster, MetricsPassClusterCoverageCheck) {
   // Publish into a private registry: the exposition must pass the same
   // cross-node conservation sweep CI runs via metrics_check --cluster.
   cusim::MetricsRegistry reg;
-  fs.to_cluster_metrics(reg);
+  fs.to_metrics(reg);
   const auto r = tools::check_cluster_metrics(reg.expose_json(), 2);
   EXPECT_TRUE(r.ok);
   for (const auto& e : r.errors) ADD_FAILURE() << e;
@@ -291,6 +294,63 @@ TEST(Cluster, MetricsPassClusterCoverageCheck) {
   // The sweep itself must catch a broken split: claim more nodes than
   // were published.
   EXPECT_FALSE(tools::check_cluster_metrics(reg.expose_json(), 3).ok);
+}
+
+TEST(Cluster, PublishesEachBatchOnceUnderGlobalDeviceLabels) {
+  // A cluster batch is one publication: one fleet batch, one cluster
+  // batch, and every device's series under its global (node-major) index,
+  // equal to the batch record — not one fleet publication per node under
+  // node-local labels on the node's own clock.
+  using cusim::MetricsRegistry;
+  const std::size_t n = 1 << 11, k = 8, batch_n = 8;
+  Batch batch(batch_n, n, k, 4404);
+  Cluster cluster(2, 2);
+  gpu::ClusterPlan cplan(cluster, make_params(n, k, 4404),
+                         gpu::Options::optimized());
+  cplan.prepare();
+
+  MetricsRegistry& reg = MetricsRegistry::global();
+  const MetricsRegistry::Snapshot before = reg.snapshot();
+  gpu::GpuFleetStats fs;
+  cplan.execute_many(batch.views, &fs);
+  const MetricsRegistry::Snapshot after = reg.snapshot();
+
+  auto counter_delta = [&](const std::string& name) {
+    const auto b = before.counters.find(name);
+    const auto a = after.counters.find(name);
+    return (a == after.counters.end() ? u64{0} : a->second) -
+           (b == before.counters.end() ? u64{0} : b->second);
+  };
+  auto count_delta = [&](const std::string& name) {
+    const auto b = before.histograms.find(name);
+    const auto a = after.histograms.find(name);
+    return (a == after.histograms.end() ? u64{0} : a->second.count) -
+           (b == before.histograms.end() ? u64{0} : b->second.count);
+  };
+  EXPECT_EQ(counter_delta("cusfft_fleet_batches_total"), 1u);
+  EXPECT_EQ(counter_delta("cusfft_cluster_batches_total"), 1u);
+  EXPECT_EQ(counter_delta("cusfft_signals_total"), batch_n);
+
+  ASSERT_EQ(fs.per_device.size(), 4u);
+  std::size_t signals = 0;
+  for (std::size_t g = 0; g < fs.per_device.size(); ++g) {
+    const std::string dev = std::to_string(g);
+    const gpu::GpuDeviceShardStats& ds = fs.per_device[g];
+    signals += ds.signals;
+    EXPECT_EQ(counter_delta(MetricsRegistry::label(
+                  "cusfft_device_signals_total", "device", dev)),
+              ds.signals)
+        << "device " << g;
+    EXPECT_EQ(count_delta(MetricsRegistry::label("cusfft_signal_latency_ms",
+                                                 "device", dev)),
+              ds.signals)
+        << "device " << g;
+    const std::string util =
+        MetricsRegistry::label("cusfft_device_utilization", "device", dev);
+    ASSERT_TRUE(after.gauges.count(util)) << util;
+    EXPECT_DOUBLE_EQ(after.gauges.at(util), ds.utilization) << util;
+  }
+  EXPECT_EQ(signals, batch_n);
 }
 
 TEST(Cluster, SlabRefusesAtOneNodeAndMatchesSerial) {
@@ -340,10 +400,48 @@ TEST(Cluster, SlabRefusesAtOneNodeAndMatchesSerial) {
 
   // The slab publication also satisfies the cluster metrics sweep.
   cusim::MetricsRegistry reg;
-  fs.to_cluster_metrics(reg);
+  fs.to_metrics(reg);
   const auto r = tools::check_cluster_metrics(reg.expose_json(), 2);
   EXPECT_TRUE(r.ok);
   for (const auto& e : r.errors) ADD_FAILURE() << e;
+}
+
+TEST(Cluster, OneNodeSlabIsRecordedLikeABatch) {
+  // A slab takes the same rollup and publication as every batch: at
+  // M = 1 it is a one-node batch of one signal on the head device — no
+  // per-node rows, no cluster series — and the head device reports its
+  // own contention-free time like any device that ran a signal.
+  using cusim::MetricsRegistry;
+  const std::size_t n = 1 << 12, k = 8;
+  const cvec x = test_signal(n, k, 9909);
+  Cluster one(1, 2);
+  gpu::ClusterPlan plan(one, make_params(n, k, 9909),
+                        gpu::Options::optimized());
+
+  MetricsRegistry& reg = MetricsRegistry::global();
+  auto counter = [&](const char* name) {
+    const auto s = reg.snapshot();
+    const auto it = s.counters.find(name);
+    return it == s.counters.end() ? u64{0} : it->second;
+  };
+  const u64 fleet0 = counter("cusfft_fleet_batches_total");
+  const u64 cluster0 = counter("cusfft_cluster_batches_total");
+  gpu::GpuFleetStats fs;
+  plan.execute_slab(x, &fs);
+  EXPECT_EQ(counter("cusfft_fleet_batches_total"), fleet0 + 1);
+  EXPECT_EQ(counter("cusfft_cluster_batches_total"), cluster0);
+
+  EXPECT_EQ(fs.nodes, 1u);
+  EXPECT_TRUE(fs.per_node.empty());
+  EXPECT_TRUE(fs.node_of.empty());
+  EXPECT_EQ(fs.device_of, std::vector<std::size_t>{0});
+  ASSERT_EQ(fs.per_device.size(), 2u);
+  EXPECT_EQ(fs.per_device[0].signals, 1u);
+  EXPECT_DOUBLE_EQ(fs.per_device[0].solo_ms,
+                   one.node(0).device(0).elapsed_model_ms());
+  EXPECT_GT(fs.per_device[0].solo_ms, 0);
+  EXPECT_EQ(fs.per_device[1].solo_ms, 0);
+  EXPECT_DOUBLE_EQ(fs.imbalance, 1.0);
 }
 
 TEST(Cluster, PreparedPlansAreTheBackendThatRuns) {

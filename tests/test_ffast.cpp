@@ -3,8 +3,8 @@
 // the Prony multi-ton solver can decode), CPU/GPU agreement (identical
 // support, values to FFT rounding — the GPU stage FFTs run through
 // cufftsim while the CPU plan uses fft::Plan), bit-reproducibility of the
-// GPU path across runs, devices, and the sequential launch path, and
-// bit-identity of the batch schedules.
+// GPU path across runs, devices, and the sequential launch path,
+// bit-identity of the batch schedules, and the crossover table's cell key.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +14,7 @@
 
 #include "core/rng.hpp"
 #include "core/spectrum.hpp"
+#include "cusfft/autopick.hpp"
 #include "cusfft/plan.hpp"
 #include "cusim/device.hpp"
 #include "sfft/ffast.hpp"
@@ -222,6 +223,36 @@ TEST(FfastGpu, BatchSchedulesBitIdenticalToSoloExecutes) {
     expect_bitwise(solo[i], serialized[i], "serialized vs solo");
     expect_bitwise(solo[i], pipelined[i], "pipelined vs solo");
   }
+}
+
+TEST(Autopick, CrossoverCellsKeyOnOptionsAndFilter) {
+  // Regression: the crossover table once keyed its cells on a string that
+  // left out every Options field but include_transfer and the whole flat
+  // filter, so whichever configuration calibrated a shape first answered
+  // for every other (the baseline's sort&select cutoff costs several
+  // times the optimized selection). Cells must follow every field except
+  // the backend, which a cell measures both of.
+  sfft::Params p = ffast_params(1 << 14, 64);
+  const perfmodel::GpuSpec spec = perfmodel::GpuSpec::k20x();
+  const gpu::CrossoverCell base =
+      gpu::calibrate_cell(p, spec, gpu::Options::baseline());
+  const gpu::CrossoverCell opt =
+      gpu::calibrate_cell(p, spec, gpu::Options::optimized());
+  EXPECT_NE(base.cusfft_ms, opt.cusfft_ms);
+  EXPECT_LT(opt.cusfft_ms, base.cusfft_ms);
+
+  sfft::Params wide = p;
+  wide.filter.boxcar_scale *= 2.0;
+  EXPECT_NE(gpu::calibrate_cell(wide, spec, gpu::Options::optimized())
+                .cusfft_ms,
+            opt.cusfft_ms);
+
+  // The picker's kAuto shape shares the cell a fixed backend calibrated.
+  p.algo = sfft::Algorithm::kAuto;
+  const gpu::CrossoverCell shared =
+      gpu::calibrate_cell(p, spec, gpu::Options::optimized());
+  EXPECT_EQ(shared.cusfft_ms, opt.cusfft_ms);
+  EXPECT_EQ(shared.ffast_ms, opt.ffast_ms);
 }
 
 }  // namespace
