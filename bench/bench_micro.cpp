@@ -1,5 +1,6 @@
 // google-benchmark microbenchmarks for the primitive layers: host FFT,
-// binning, estimation, device sort/scan/select, and timeline/fleet replay.
+// binning, estimation, device sort/scan/select, warp tracing, and
+// timeline/fleet replay.
 // These measure *this machine's* functional throughput (not modeled GPU
 // time) — useful for tracking regressions in the hot loops.
 #include <benchmark/benchmark.h>
@@ -235,6 +236,96 @@ void BM_ClusterSimulate(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<i64>(state.iterations()) * 68);
 }
 BENCHMARK(BM_ClusterSimulate);
+
+// One traced warp's accesses in the order Device::launch records them:
+// lane by lane, each lane's accesses in slot order.
+struct WarpAccess {
+  u32 slot;
+  u64 addr;
+  u32 bytes;
+  bool atomic;
+};
+
+// Warp shapes of BM_WarpFinalize, after the kernels that trace on every
+// launch of a warm plan (n = 2^16 and 12 loops, as in perfbench
+// steady_batch).
+//  0 coalesced: consecutive 16-, 8-, 16- and 4-byte accesses per lane;
+//  1 estimate: a contiguous load, then per loop two broadcast loads and
+//    two 16-byte gathers (filter taps, buckets), then a contiguous store;
+//  2 loc_recover: 64 scattered 4-byte atomics per lane on the score array.
+std::vector<WarpAccess> warp_shape(int shape) {
+  constexpr u64 kN = 1 << 16, kB = 4096, kLoops = 12;
+  const auto base = [](u64 buffer) { return buffer << 24; };
+  Rng rng(11);
+  std::vector<WarpAccess> out;
+  for (u32 lane = 0; lane < 32; ++lane) {
+    u32 slot = 0;
+    const auto add = [&](u64 addr, u32 bytes, bool atomic = false) {
+      out.push_back({slot++, addr, bytes, atomic});
+    };
+    if (shape == 0) {
+      add(base(1) + lane * 16, 16);
+      add(base(2) + lane * 8, 8);
+      add(base(3) + lane * 16, 16);
+      add(base(4) + lane * 4, 4);
+    } else if (shape == 1) {
+      add(base(1) + lane * 4, 4);
+      for (u64 r = 0; r < kLoops; ++r) {
+        add(base(2) + r * 8, 8);
+        add(base(3) + r * 8, 8);
+        add(base(4) + (rng.next_u64() % kN) * 16, 16);
+        add(base(5) + (r * kB + rng.next_u64() % kB) * 16, 16);
+      }
+      add(base(6) + lane * 16, 16);
+    } else {
+      for (int i = 0; i < 64; ++i)
+        add(base(1) + (rng.next_u64() % kN) * 4, 4, true);
+    }
+  }
+  return out;
+}
+
+void BM_WarpFinalize(benchmark::State& state) {
+  // The per-warp tracing cycle: clear, record every lane, finalize.
+  const std::vector<WarpAccess> accesses =
+      warp_shape(static_cast<int>(state.range(0)));
+  cusim::LaunchArena arena;
+  cusim::WarpTracer tracer;
+  tracer.reset(128, &arena);
+  for (auto _ : state) {
+    tracer.clear();
+    for (const WarpAccess& a : accesses)
+      tracer.on_access(a.slot, a.addr, a.bytes, a.atomic);
+    cusim::WarpTotals t = tracer.finalize();
+    benchmark::DoNotOptimize(t);
+  }
+  state.SetItemsProcessed(static_cast<i64>(state.iterations()) *
+                          static_cast<i64>(accesses.size()));
+}
+BENCHMARK(BM_WarpFinalize)->Arg(0)->Arg(1)->Arg(2);
+
+void BM_TracedAtomicLaunch(benchmark::State& state) {
+  // A fully traced 512-thread launch (16 warps, under the default sampling
+  // cap) with 64 scattered atomic_adds per thread: the tracer plus the
+  // kernel-wide atomic-conflict table, as loc_recover exercises them.
+  cusim::Device dev;
+  cusim::DeviceBuffer<u32> score(1 << 16);
+  const auto body = [&](cusim::ThreadCtx& t) {
+    u64 h = t.global_id() + 1;
+    for (int i = 0; i < 64; ++i) {
+      h = h * 6364136223846793005ULL + 1442695040888963407ULL;
+      score.atomic_add(t, h >> 48, u32{1});
+    }
+  };
+  for (auto _ : state) {
+    dev.begin_capture();
+    dev.launch(cusim::LaunchCfg::for_elements("atomics", 512), body);
+    benchmark::DoNotOptimize(score.host().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<i64>(state.iterations()) * 512 * 64);
+}
+BENCHMARK(BM_TracedAtomicLaunch);
 
 void BM_FlatFilterConstruction(benchmark::State& state) {
   const std::size_t n = 1ULL << 16, B = 512;

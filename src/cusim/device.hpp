@@ -160,10 +160,13 @@ class Device {
 
   StreamId create_stream() { return next_stream_++; }
 
-  /// Warp-sampling knob: at most this many warps are traced per launch
-  /// (evenly strided); counters extrapolate by the stride. Tests that need
-  /// exact counts can raise it. Changing the stride changes extrapolated
-  /// counters, so the captured launch graph is dropped.
+  /// Warp-sampling knob: a launch traces every stride-th warp, with
+  /// stride = max(1, floor(total warps / v)), and counters extrapolate by
+  /// the stride. A launch with more than v warps therefore traces between
+  /// v and just under 2v of them (8191 warps under v = 4096 trace all
+  /// 8191). Tests that need exact counts can raise it. Changing the stride
+  /// changes extrapolated counters, so the captured launch graph is
+  /// dropped.
   void set_max_traced_warps(u64 v) {
     max_traced_warps_ = std::max<u64>(1, v);
     graph_.records.clear();

@@ -1,12 +1,11 @@
 // Warp-level memory tracing. While a kernel executes functionally, sampled
 // warps record every global access; finalize() groups the accesses of the
-// 32 lanes by instruction slot and counts 128-byte segment transactions —
-// the coalescing rule of Section IV.B ("the k-th thread accesses the k-th
-// word in a cache line").
+// 32 lanes by instruction slot and counts each slot's distinct 128-byte
+// segments — the coalescing rule of Section IV.B ("the k-th thread accesses
+// the k-th word in a cache line").
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -45,30 +44,40 @@ class WarpTracer {
   /// Groups slots into transactions and classifies them. A slot whose
   /// transaction count is within 2x of the minimum possible for its byte
   /// volume counts as coalesced; otherwise random. Grouping is a counting
-  /// sort by slot (lane order preserved within a slot — the same order a
-  /// stable sort of the record list produces), so one warp finalizes in
-  /// O(accesses) with no heap traffic.
+  /// sort by slot. A slot's transaction count is the number of distinct
+  /// segments it touches: when they arrive in non-decreasing order
+  /// (coalesced, broadcast and strided slots) that is the number of value
+  /// changes; otherwise the slot's segments go through a small
+  /// open-addressed set. One warp finalizes in O(accesses) with no
+  /// comparison sort and no heap traffic.
   WarpTotals finalize();
 
  private:
   struct Access {
-    u32 slot;
     u64 addr;
+    u32 slot;
     u32 bytes;
-    bool atomic;
   };
+  u64 segment(u64 addr) const {
+    return tx_shift_ >= 0 ? addr >> tx_shift_ : addr / tx_bytes_;
+  }
+  /// Distinct segments among [a, e), which span `segs` segments in all.
+  u64 distinct_segments(const Access* a, const Access* e, u64 segs);
+
   ArenaVec<Access> accesses_;
   // finalize() scratch, capacity reused across warps (see clear()).
   ArenaVec<Access> sorted_;
   ArenaVec<u32> counts_;
-  ArenaVec<u64> segs_;
+  ArenaVec<u64> seg_set_;
   u32 max_slot_ = 0;
+  u64 atomics_ = 0;
   double shared_ = 0;
   std::size_t tx_bytes_ = 128;
+  int tx_shift_ = 7;  // log2(tx_bytes_), or -1 when not a power of two
 };
 
 /// Whole-kernel accumulation across traced warps plus the kernel-wide
-/// atomic-conflict map (deepest same-address chain).
+/// atomic-conflict table (deepest same-address chain).
 ///
 /// Traced warps are kept as per-warp records keyed by their grid-wide warp
 /// index instead of a running sum. The block-parallel launch path gives each
@@ -78,8 +87,9 @@ class WarpTracer {
 /// launches produce bit-identical counters.
 ///
 /// All per-launch records (trace accesses, per-warp totals) live on the
-/// accumulator's LaunchArena; reset() recycles it, so a warm capture's
-/// launches allocate nothing.
+/// accumulator's LaunchArena; reset() recycles it. The conflict table is a
+/// flat open-addressed address -> count map whose capacity survives
+/// reset(), so a warm accumulator's launches allocate nothing.
 class KernelAccum {
  public:
   void reset(std::size_t transaction_bytes, u64 sample_stride);
@@ -92,7 +102,7 @@ class KernelAccum {
   void fold_warp(u64 warp_index);
 
   /// Records an atomic on `addr` from a traced warp (conflict accounting).
-  void on_atomic_addr(u64 addr);
+  void on_atomic_addr(u64 addr) { add_conflicts(addr, 1); }
 
   /// Moves another accumulator's traced warps and atomic-conflict counts
   /// into this one (used to merge per-worker accumulators; `other` is left
@@ -110,10 +120,20 @@ class KernelAccum {
     u64 index;
     WarpTotals totals;
   };
+  /// One conflict-table slot; count 0 marks it empty.
+  struct Conflict {
+    u64 addr;
+    u32 count;
+  };
+  void add_conflicts(u64 addr, u32 count);
+  void grow_conflicts();
+
   LaunchArena arena_;
   WarpTracer tracer_;
   ArenaVec<WarpRecord> warps_;
-  std::unordered_map<u64, u32> atomic_conflicts_;
+  std::vector<Conflict> conflicts_;  // power-of-two size, <= 3/4 full
+  std::vector<u32> conflict_used_;   // occupied slots, for reset and absorb
+  u32 conflict_max_ = 0;
   u64 stride_ = 1;
 };
 

@@ -3,10 +3,15 @@
 // overlap, and PCIe copies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
 #include <numeric>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "core/rng.hpp"
 #include "cusim/device.hpp"
 #include "cusim/report.hpp"
 
@@ -406,6 +411,255 @@ TEST(WarpTracerUnit, StraddlingAccessCountsBothSegments) {
   tr.on_access(0, 120, 16, false);  // crosses the 128B boundary
   const WarpTotals t = tr.finalize();
   EXPECT_DOUBLE_EQ(t.coalesced_tx + t.random_tx, 2);
+}
+
+// ---- Tracer equivalence: the counters against a sort-and-unique oracle ----
+
+struct TraceRec {
+  u32 slot;
+  u64 addr;
+  u32 bytes;
+  bool atomic;
+};
+
+// The tracer's earlier algorithm, kept as the oracle: group the records by
+// slot with a stable sort, list every 128-byte segment a slot touches, sort
+// and unique the list, and classify the slot against its minimum
+// transaction count.
+WarpTotals reference_totals(std::vector<TraceRec> recs, double shared) {
+  constexpr u64 kTx = 128;
+  WarpTotals out;
+  out.shared_accesses = shared;
+  std::stable_sort(recs.begin(), recs.end(),
+                   [](const TraceRec& a, const TraceRec& b) {
+                     return a.slot < b.slot;
+                   });
+  for (std::size_t i = 0; i < recs.size();) {
+    const u32 slot = recs[i].slot;
+    std::vector<u64> segs;
+    double bytes = 0;
+    for (; i < recs.size() && recs[i].slot == slot; ++i) {
+      const TraceRec& r = recs[i];
+      bytes += r.bytes;
+      for (u64 s = r.addr / kTx; s <= (r.addr + r.bytes - 1) / kTx; ++s)
+        segs.push_back(s);
+      if (r.atomic) out.atomic_ops += 1;
+    }
+    std::sort(segs.begin(), segs.end());
+    const double tx = static_cast<double>(
+        std::unique(segs.begin(), segs.end()) - segs.begin());
+    const double min_tx = std::max(1.0, std::ceil(bytes / kTx));
+    out.useful_bytes += bytes;
+    (tx <= 2.0 * min_tx ? out.coalesced_tx : out.random_tx) += tx;
+  }
+  return out;
+}
+
+void count_conflicts(const std::vector<TraceRec>& recs,
+                     std::map<u64, u32>& counts) {
+  for (const TraceRec& r : recs)
+    if (r.atomic) ++counts[r.addr];
+}
+
+double reference_max_conflict(const std::map<u64, u32>& counts, u64 stride) {
+  u32 worst = 0;
+  for (const auto& [addr, n] : counts) worst = std::max(worst, n);
+  return static_cast<double>(worst) * static_cast<double>(stride);
+}
+
+// A random warp, recorded lane by lane as Device::launch does. Every slot
+// draws one pattern: coalesced, broadcast, strided, scattered, ascending
+// for a prefix of lanes and then falling back below it, or straddling
+// 128-byte boundaries. Bases are often misaligned (more straddles), sizes
+// mix 4/8/16 bytes within some slots, some slots are atomic, some warps
+// have fewer than 32 lanes, divergent lanes stop at different slot counts,
+// and every eighth warp has more than 64 slots.
+std::vector<TraceRec> random_warp(Rng& rng) {
+  constexpr u32 kSizes[] = {4, 8, 16};
+  const u32 lanes =
+      rng.next_below(4) == 0 ? 1 + static_cast<u32>(rng.next_below(32)) : 32;
+  const u32 slots = static_cast<u32>(rng.next_below(8) == 0
+                                         ? 65 + rng.next_below(64)
+                                         : 1 + rng.next_below(24));
+  const bool divergent = rng.next_below(3) == 0;
+  struct Shape {
+    u64 pattern, base, stride, turn;
+    u32 bytes;
+    bool mixed, atomic;
+  };
+  std::vector<Shape> shapes(slots);
+  for (Shape& sh : shapes) {
+    sh.pattern = rng.next_below(6);
+    sh.base = (1 + rng.next_below(64)) << 20;
+    if (rng.next_below(2) == 0) sh.base += rng.next_below(128);
+    sh.stride = u64{1} << rng.next_below(13);
+    sh.turn = 1 + rng.next_below(31);
+    sh.bytes = kSizes[rng.next_below(3)];
+    sh.mixed = rng.next_below(4) == 0;
+    sh.atomic = rng.next_below(4) == 0;
+  }
+  std::vector<TraceRec> out;
+  for (u32 lane = 0; lane < lanes; ++lane) {
+    const u32 n = divergent ? slots - static_cast<u32>(rng.next_below(
+                                          std::min<u32>(slots, 4)))
+                            : slots;
+    for (u32 s = 0; s < n; ++s) {
+      const Shape& sh = shapes[s];
+      const u32 bytes = sh.mixed ? kSizes[rng.next_below(3)] : sh.bytes;
+      u64 addr = sh.base;
+      switch (sh.pattern) {
+        case 0: addr += lane * bytes; break;
+        case 1: break;
+        case 2: addr += lane * sh.stride; break;
+        case 3: addr += rng.next_below(1024) * bytes; break;
+        case 4:
+          addr += lane < sh.turn ? lane * 64 : rng.next_below(sh.turn * 64);
+          break;
+        default: addr += lane * 128 + 128 - bytes / 2; break;
+      }
+      out.push_back({s, addr, bytes, sh.atomic});
+    }
+  }
+  return out;
+}
+
+void record(WarpTracer& tr, KernelAccum* acc, const std::vector<TraceRec>& recs,
+            double shared) {
+  tr.clear();
+  for (const TraceRec& r : recs) {
+    tr.on_access(r.slot, r.addr, r.bytes, r.atomic);
+    if (r.atomic && acc != nullptr) acc->on_atomic_addr(r.addr);
+  }
+  if (shared > 0) tr.on_shared(shared);
+}
+
+void expect_same_totals(const WarpTotals& got, const WarpTotals& want,
+                        const std::string& where) {
+  EXPECT_EQ(got.coalesced_tx, want.coalesced_tx) << where;
+  EXPECT_EQ(got.random_tx, want.random_tx) << where;
+  EXPECT_EQ(got.useful_bytes, want.useful_bytes) << where;
+  EXPECT_EQ(got.atomic_ops, want.atomic_ops) << where;
+  EXPECT_EQ(got.shared_accesses, want.shared_accesses) << where;
+}
+
+WarpTotals scaled_sum(const std::vector<WarpTotals>& warps, u64 stride) {
+  WarpTotals s;
+  for (const WarpTotals& t : warps) {
+    s.coalesced_tx += t.coalesced_tx;
+    s.random_tx += t.random_tx;
+    s.useful_bytes += t.useful_bytes;
+    s.atomic_ops += t.atomic_ops;
+    s.shared_accesses += t.shared_accesses;
+  }
+  const double m = static_cast<double>(stride);
+  s.coalesced_tx *= m;
+  s.random_tx *= m;
+  s.useful_bytes *= m;
+  s.atomic_ops *= m;
+  s.shared_accesses *= m;
+  return s;
+}
+
+TEST(TraceEquivalence, WarpTotalsAndConflictsMatchReference) {
+  Rng rng(20);
+  LaunchArena arena;
+  WarpTracer tr;
+  tr.reset(128, &arena);
+  KernelAccum acc;
+  constexpr int kWarps = 2400, kWarpsPerLaunch = 48;
+  std::map<u64, u32> launch_conflicts;
+  std::vector<WarpTotals> launch_warps;
+  u64 stride = 1;
+  for (int w = 0; w < kWarps; ++w) {
+    if (w % kWarpsPerLaunch == 0) {
+      stride = 1 + rng.next_below(3);
+      acc.reset(128, stride);
+      launch_conflicts.clear();
+      launch_warps.clear();
+    }
+    const std::vector<TraceRec> recs = random_warp(rng);
+    const double shared = static_cast<double>(rng.next_below(3));
+    const WarpTotals want = reference_totals(recs, shared);
+    const std::string where = "warp " + std::to_string(w);
+    record(tr, nullptr, recs, shared);
+    expect_same_totals(tr.finalize(), want, where);
+    record(acc.tracer(), &acc, recs, shared);
+    acc.fold_warp(static_cast<u64>(w));
+    count_conflicts(recs, launch_conflicts);
+    launch_warps.push_back(want);
+    EXPECT_EQ(acc.max_atomic_conflict(),
+              reference_max_conflict(launch_conflicts, stride))
+        << where;
+    if ((w + 1) % kWarpsPerLaunch == 0)
+      expect_same_totals(acc.scaled_totals(),
+                         scaled_sum(launch_warps, stride),
+                         "launch ending at " + where);
+  }
+}
+
+TEST(TraceEquivalence, SplitAccumulatorsAbsorbInAnyOrder) {
+  // One launch's warps (and so its atomics) spread over 1-4 per-worker
+  // accumulators, merged in a shuffled order, give the single-pass counts.
+  Rng rng(21);
+  for (int launch = 0; launch < 120; ++launch) {
+    const u64 stride = 1 + rng.next_below(3);
+    const std::size_t parts = 1 + rng.next_below(4);
+    std::vector<KernelAccum> accs(parts);
+    for (KernelAccum& a : accs) a.reset(128, stride);
+    std::map<u64, u32> conflicts;
+    std::vector<WarpTotals> want;
+    const u64 warps = 4 + rng.next_below(28);
+    for (u64 w = 0; w < warps; ++w) {
+      KernelAccum& a = accs[rng.next_below(parts)];
+      const std::vector<TraceRec> recs = random_warp(rng);
+      record(a.tracer(), &a, recs, 0);
+      a.fold_warp(w);
+      count_conflicts(recs, conflicts);
+      want.push_back(reference_totals(recs, 0));
+    }
+    std::vector<std::size_t> order(parts);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    for (std::size_t i = parts; i > 1; --i)
+      std::swap(order[i - 1], order[rng.next_below(i)]);
+    KernelAccum merged;
+    merged.reset(128, stride);
+    for (const std::size_t i : order) merged.absorb(accs[i]);
+    const std::string where = "launch " + std::to_string(launch);
+    expect_same_totals(merged.scaled_totals(), scaled_sum(want, stride),
+                       where);
+    EXPECT_EQ(merged.max_atomic_conflict(),
+              reference_max_conflict(conflicts, stride))
+        << where;
+    for (const KernelAccum& a : accs)
+      EXPECT_EQ(a.max_atomic_conflict(), 0.0) << where;  // left empty
+  }
+}
+
+TEST(TraceEquivalence, ResetLeavesNoCountsFromTheEarlierLaunch) {
+  KernelAccum acc;
+  acc.reset(128, 1);
+  // Launch 1: 5000 distinct addresses (the table grows several times) and
+  // one of them hit 40 more times, plus one traced warp.
+  for (u64 i = 0; i < 5000; ++i) acc.on_atomic_addr(4096 + 4 * i);
+  for (int i = 0; i < 40; ++i) acc.on_atomic_addr(4096);
+  acc.tracer().clear();
+  acc.tracer().on_access(0, 4096, 4, true);
+  acc.fold_warp(0);
+  EXPECT_EQ(acc.max_atomic_conflict(), 41.0);
+
+  // Launch 2 on the same accumulator touches two of those addresses.
+  acc.reset(128, 2);
+  EXPECT_EQ(acc.max_atomic_conflict(), 0.0);
+  expect_same_totals(acc.scaled_totals(), WarpTotals{}, "after reset");
+  for (int i = 0; i < 3; ++i) {
+    acc.on_atomic_addr(4096);
+    acc.on_atomic_addr(4100);
+  }
+  acc.on_atomic_addr(8192);
+  EXPECT_EQ(acc.max_atomic_conflict(), 3.0 * 2);
+  acc.reset(128, 1);
+  acc.on_atomic_addr(4096 + 4 * 4999);
+  EXPECT_EQ(acc.max_atomic_conflict(), 1.0);
 }
 
 
