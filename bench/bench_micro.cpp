@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks for the primitive layers: host FFT,
-// binning, estimation, device sort/scan/select, warp tracing, and
-// timeline/fleet replay.
+// binning, estimation, device sort/scan/select, warp tracing, replayed
+// launches, timeline/fleet replay, and one pipelined GpuPlan batch.
 // These measure *this machine's* functional throughput (not modeled GPU
 // time) — useful for tracking regressions in the hot loops.
 #include <benchmark/benchmark.h>
@@ -8,6 +8,7 @@
 #include <numeric>
 
 #include "core/rng.hpp"
+#include "cusfft/plan.hpp"
 #include "cusim/cluster.hpp"
 #include "cusim/device.hpp"
 #include "cusim/device_group.hpp"
@@ -326,6 +327,55 @@ void BM_TracedAtomicLaunch(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<i64>(state.iterations()) * 512 * 64);
 }
 BENCHMARK(BM_TracedAtomicLaunch);
+
+void BM_ReplayedLaunch(benchmark::State& state) {
+  // A captured-graph replay of a 1024-thread gather shaped like pf_remap:
+  // the per-launch host cost of the warm path (sweep plus timeline submit),
+  // 64 launches per capture.
+  constexpr std::size_t kB = 1024, kN = 1 << 16;
+  cusim::Device dev;
+  cusim::DeviceBuffer<cplx> src(kN), dst(kB);
+  const u64 ai = 40503, tau = 977;
+  const auto body = [&](cusim::ThreadCtx& t) {
+    const u64 i = t.global_id();
+    if (i >= kB) return;
+    dst.store(t, i, src.load(t, (tau + i * ai) & (kN - 1)));
+  };
+  const auto cfg =
+      cusim::LaunchCfg::for_elements("remap", kB, 256).cache(1);
+  dev.launch(cfg, body);  // records; every timed launch replays
+  for (auto _ : state) {
+    dev.begin_capture();
+    for (int i = 0; i < 64; ++i) dev.launch(cfg, body);
+    benchmark::DoNotOptimize(dst.host().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<i64>(state.iterations()) * 64);
+}
+BENCHMARK(BM_ReplayedLaunch);
+
+void BM_PipelinedBatch(benchmark::State& state) {
+  // One warm 8-signal pipelined batch of the optimized plan at n = 2^14 on
+  // the process-wide pool's lanes: the steady path end to end.
+  sfft::Params p;
+  p.n = 1 << 14;
+  p.k = 64;
+  p.seed = 5;
+  std::vector<cvec> xs;
+  Rng rng(8);
+  for (int i = 0; i < 8; ++i)
+    xs.push_back(signal::make_sparse_signal(p.n, p.k, rng).x);
+  const std::vector<std::span<const cplx>> views(xs.begin(), xs.end());
+  cusim::Device dev;
+  gpu::GpuPlan plan(dev, p, gpu::Options::optimized());
+  plan.execute_many(views, nullptr, gpu::BatchMode::kPipelined);  // warm-up
+  for (auto _ : state) {
+    auto out = plan.execute_many(views, nullptr, gpu::BatchMode::kPipelined);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<i64>(state.iterations()) * 8);
+}
+BENCHMARK(BM_PipelinedBatch)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_FlatFilterConstruction(benchmark::State& state) {
   const std::size_t n = 1ULL << 16, B = 512;

@@ -1,7 +1,10 @@
 #include "core/thread_pool.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 namespace cusfft {
 
@@ -53,6 +56,13 @@ void ThreadPool::worker_loop(std::size_t idx) {
   }
 }
 
+std::size_t ThreadPool::chunks(std::size_t count) const {
+  const std::size_t nthreads = tasks_.size();
+  if (count <= 1 || nthreads <= 1) return count == 0 ? 0 : 1;
+  const std::size_t chunk = (count + nthreads - 1) / nthreads;
+  return (count + chunk - 1) / chunk;
+}
+
 void ThreadPool::parallel_for(
     std::size_t count,
     const std::function<void(std::size_t, std::size_t)>& fn) {
@@ -65,10 +75,16 @@ void ThreadPool::parallel_for_indexed(
     const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
   const std::size_t nthreads = tasks_.size();
   if (count == 0) return;
-  if (nthreads <= 1 || count == 1) {
+  bool idle = false;
+  if (nthreads <= 1 || count == 1 ||
+      !busy_.compare_exchange_strong(idle, true, std::memory_order_acquire)) {
     fn(0, 0, count);
     return;
   }
+  struct Release {
+    std::atomic<bool>& busy;
+    ~Release() { busy.store(false, std::memory_order_release); }
+  } release{busy_};
   const std::size_t chunk = (count + nthreads - 1) / nthreads;
   std::size_t my_end = std::min(chunk, count);
   {
@@ -104,14 +120,21 @@ void ThreadPool::parallel_for_indexed(
   }
 }
 
+std::size_t parse_thread_count(const char* value) {
+  if (value == nullptr || value[0] == '\0') return 0;  // hardware width
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(value, &end, 10);
+  if (value[0] < '0' || value[0] > '9' || *end != '\0' || errno != 0 ||
+      v < 1 || v > 512)
+    throw std::invalid_argument(
+        std::string("CUSFFT_THREADS: expected an integer in [1, 512], got '") +
+        value + "'");
+  return static_cast<std::size_t>(v);
+}
+
 ThreadPool& ThreadPool::global() {
-  static ThreadPool pool([] {
-    if (const char* env = std::getenv("CUSFFT_THREADS")) {
-      const long v = std::strtol(env, nullptr, 10);
-      if (v > 0) return static_cast<std::size_t>(std::min(v, 512L));
-    }
-    return std::size_t{0};  // hardware concurrency
-  }());
+  static ThreadPool pool(parse_thread_count(std::getenv("CUSFFT_THREADS")));
   return pool;
 }
 

@@ -342,8 +342,8 @@ std::vector<SparseSpectrum> MultiGpuPlan::run_shards(
   if (active.size() <= 1) {
     for (const std::size_t d : active) run_shard(d);
   } else {
-    // One host thread per non-empty shard; each device's block-parallel
-    // launches stay on its private ThreadPool (DeviceGroup wiring).
+    // One host thread per non-empty shard; each device's signal lanes
+    // run on its private ThreadPool (DeviceGroup wiring).
     std::vector<std::thread> threads;
     threads.reserve(active.size());
     for (const std::size_t d : active)

@@ -1,8 +1,8 @@
 // Fleet execution: one execute_many() batch sharded across a
 // cusim::DeviceGroup. Each device owns a full GpuPlan (its own buffers,
 // filter upload, stream pool) and runs its shard on a dedicated host
-// thread with PR 1's block-parallel functional execution confined to the
-// device's private ThreadPool; the two-stream pipeline stays live inside
+// thread whose signal lanes run on the device's private ThreadPool; the
+// two-stream pipeline stays live inside
 // every shard. The per-device timelines are then merged on one clock
 // (shared t=0 at the group capture) with PCIe root-complex contention —
 // see cusim/device_group.hpp.

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <stdexcept>
 #include <vector>
 
@@ -54,113 +55,120 @@ struct GpuPlan::Impl {
   u64 graph_salt = 0;                    // captured-graph domain (ctor)
   std::vector<sfft::LoopPerm> perms;     // same draw as the serial plan
 
-  // Device-resident state (allocated once per plan, like a real cusFFT
-  // plan's cudaMallocs).
-  DeviceBuffer<cplx> d_signal;        // n
+  // Device-resident state every signal reads and none writes (allocated
+  // once per plan, like a real cusFFT plan's cudaMallocs).
   DeviceBuffer<cplx> d_filter_time;   // w_pad
   DeviceBuffer<cplx> d_filter_freq;   // n
   DeviceBuffer<u64> d_ai, d_a, d_tau; // L each
-  DeviceBuffer<cplx> d_buckets;       // L*B (batched layout)
-  DeviceBuffer<cplx> d_chunks;        // rounds*B — remapped A' (Section V.A)
-  DeviceBuffer<cplx> d_partial;       // rounds*B — per-chunk products
-  DeviceBuffer<u32> d_score;          // n
-  DeviceBuffer<u32> d_hits;           // hits_cap
-  DeviceBuffer<u32> d_num_hits;       // 1
-  DeviceBuffer<cplx> d_est;           // hits_cap
-  DeviceBuffer<double> d_keys;        // B (sort&select)
-  DeviceBuffer<u32> d_vals;           // B
-  DeviceBuffer<u32> d_selected;       // B (fast selection output)
-  DeviceBuffer<u32> d_sel_count;      // 1
   std::vector<StreamId> streams;      // GK110: up to 32 concurrent kernels
 
-  std::unique_ptr<cufftsim::Plan> fft_batched;  // (B, L)
-  std::unique_ptr<cufftsim::Plan> fft_single;   // (B, 1) when !batched_fft
-  DeviceBuffer<cplx> d_z;                       // B staging for !batched_fft
-
-  // FFAST backend state (Params::algo == kFfast): the geometric stage
-  // chain, one device buffer of kFfastShifts planes per stage, and one
+  // FFAST backend (Params::algo == kFfast): the geometric stage chain. Each
+  // lane holds one device buffer of kFfastShifts planes per stage and one
   // batched cuFFT-sim plan per stage (batch = kFfastShifts, sizes differ
   // per stage). The layout matches sfft::FfastPlan exactly so the
   // downloaded planes feed the shared host-side peeling decoder
   // (sfft::ffast_peel); tests pin identical support vs the CPU plan and
   // values to FFT rounding (the stage FFTs run through cufftsim here).
   std::vector<sfft::FfastStage> ffast_stages;
-  std::vector<DeviceBuffer<cplx>> d_ffast;      // per stage: 6 * bins
-  std::vector<std::unique_ptr<cufftsim::Plan>> ffast_ffts;
 
-  // sFFT 2.0 Comb prefilter state (Params::comb).
+  // sFFT 2.0 Comb prefilter (Params::comb).
   std::size_t comb_W = 0;
   std::vector<u64> comb_taus;
-  DeviceBuffer<u32> d_comb_approved;            // W flags
-  DeviceBuffer<cplx> d_comb_y;                  // W aliased samples
-  DeviceBuffer<double> d_comb_keys;             // W sort keys
-  DeviceBuffer<u32> d_comb_vals;                // W sort values
-  std::unique_ptr<cufftsim::Plan> comb_fft;     // (W, 1)
 
-  // Pipelined-batch state (BatchMode::kPipelined): two home streams that
-  // alternate by signal parity, plus a parity-1 copy of every buffer that
-  // crosses the front/back stage boundary — the front stage (transfer +
-  // comb + binning + FFT) of signal i+1 runs while the back stage
-  // (cutoff + vote + estimate + d2h) of signal i drains, so both signals'
-  // per-signal state must coexist. Back-stage-only buffers (hits, est,
-  // selection scratch) stay single: back stages are serialized among
-  // themselves by the `done` event chain, as are front stages (they share
-  // the chunk/partial/FFT-work scratch) by the `binned` event chain.
-  // Allocated lazily (pool-backed) on the first pipelined batch.
+  // Pipelined batches (BatchMode::kPipelined) alternate signals between
+  // two home streams, created on the first pipelined batch: the front
+  // stage (transfer + comb + binning + FFT) of signal i+1 overlaps the
+  // back stage (cutoff + vote + estimate + d2h) of signal i on the modeled
+  // timeline. Fronts chain on the previous front's `binned` event and backs
+  // on the previous back's `done` event, as a device holding one set of
+  // front and one set of back scratch would need.
   std::vector<StreamId> home_streams;
-  DeviceBuffer<cplx> d_signal_alt, d_buckets_alt, d_z_alt;
-  DeviceBuffer<u32> d_score_alt, d_num_hits_alt, d_comb_approved_alt;
-  std::vector<DeviceBuffer<cplx>> d_ffast_alt;  // FFAST parity-1 planes
 
-  // Active per-signal buffer bindings: kernels address mutable per-signal
-  // state through these so the pipelined path can flip whole sets by
-  // signal parity. bind_buffers(0) selects the primaries (the serialized
-  // and single-execute paths).
-  DeviceBuffer<cplx>* sig_ = nullptr;
-  DeviceBuffer<cplx>* buck_ = nullptr;
-  DeviceBuffer<cplx>* zb_ = nullptr;
-  DeviceBuffer<u32>* score_ = nullptr;
-  DeviceBuffer<u32>* num_hits_ = nullptr;
-  DeviceBuffer<u32>* comb_approved_ = nullptr;
-  std::vector<DeviceBuffer<cplx>>* ffast_ = nullptr;
+  /// Everything one signal's kernel sequence writes. A batch runs its
+  /// signals on lanes (run_lanes): lane 0 is allocated with the plan, more
+  /// on the first batch wide enough to use them, from BufferPool::lanes().
+  struct Lane {
+    cusim::Lane exec;                   // warp tracer + accumulator
+    cusim::DeviceView<cplx> signal;     // n — the caller's input
+    DeviceBuffer<cplx> buckets;         // L*B (batched layout)
+    DeviceBuffer<cplx> chunks;          // rounds*B — remapped A' (Section V.A)
+    DeviceBuffer<u32> score;            // n
+    DeviceBuffer<u32> hits;             // hits_cap
+    DeviceBuffer<u32> num_hits;         // 1
+    DeviceBuffer<cplx> est;             // grown to the most hits seen
+    DeviceBuffer<double> keys;          // B (sort&select)
+    DeviceBuffer<u32> vals;             // B
+    DeviceBuffer<u32> selected;         // B (fast selection output)
+    DeviceBuffer<u32> sel_count;        // 1
+    DeviceBuffer<cplx> z;               // B staging for !batched_fft
+    std::unique_ptr<cufftsim::Plan> fft;  // (B, L) batched, else (B, 1)
+    DeviceBuffer<u32> comb_approved;    // W flags
+    DeviceBuffer<cplx> comb_y;          // W aliased samples
+    DeviceBuffer<double> comb_keys;     // W sort keys
+    DeviceBuffer<u32> comb_vals;        // W sort values
+    std::unique_ptr<cufftsim::Plan> comb_fft;  // (W, 1)
+    std::vector<DeviceBuffer<cplx>> ffast;     // per stage: 6 * bins
+    std::vector<std::unique_ptr<cufftsim::Plan>> ffast_ffts;
+  };
+  std::vector<std::unique_ptr<Lane>> lanes;
+  std::vector<cusim::DeviceLog> logs;  // one per signal of the last batch
 
-  void bind_buffers(std::size_t parity) {
-    const bool alt = parity != 0;
-    sig_ = alt ? &d_signal_alt : &d_signal;
-    buck_ = alt ? &d_buckets_alt : &d_buckets;
-    zb_ = alt ? &d_z_alt : &d_z;
-    score_ = alt ? &d_score_alt : &d_score;
-    num_hits_ = alt ? &d_num_hits_alt : &d_num_hits;
-    comb_approved_ = alt ? &d_comb_approved_alt : &d_comb_approved;
-    ffast_ = alt ? &d_ffast_alt : &d_ffast;
+  std::unique_ptr<Lane> make_lane() {
+    auto ln = std::make_unique<Lane>();
+    ln->signal = cusim::DeviceView<cplx>(n);
+    if (p.algo == sfft::Algorithm::kFfast) {
+      for (const auto& st : ffast_stages) {
+        ln->ffast.emplace_back(sfft::kFfastShifts * st.bins);
+        ln->ffast_ffts.push_back(std::make_unique<cufftsim::Plan>(
+            *dev, st.bins, sfft::kFfastShifts));
+      }
+      return ln;
+    }
+    ln->buckets = DeviceBuffer<cplx>(L * B);
+    if (opts.binning == Binning::kAsyncTransform)
+      ln->chunks = DeviceBuffer<cplx>(rounds * B);
+    ln->score = DeviceBuffer<u32>(n);
+    ln->hits = DeviceBuffer<u32>(hits_cap);
+    ln->num_hits = DeviceBuffer<u32>(1);
+    if (opts.fast_selection) {
+      ln->selected = DeviceBuffer<u32>(B);
+      ln->sel_count = DeviceBuffer<u32>(1);
+    } else {
+      ln->keys = DeviceBuffer<double>(B);
+      ln->vals = DeviceBuffer<u32>(B);
+    }
+    ln->fft = std::make_unique<cufftsim::Plan>(*dev, B,
+                                               opts.batched_fft ? L : 1);
+    ln->z = DeviceBuffer<cplx>(B);
+    if (comb_W != 0) {
+      ln->comb_approved = DeviceBuffer<u32>(comb_W);
+      ln->comb_y = DeviceBuffer<cplx>(comb_W);
+      ln->comb_keys = DeviceBuffer<double>(comb_W);
+      ln->comb_vals = DeviceBuffer<u32>(comb_W);
+      ln->comb_fft = std::make_unique<cufftsim::Plan>(*dev, comb_W, 1);
+    }
+    return ln;
   }
 
-  void ensure_pipeline_state() {
+  /// Lanes 1..w-1 are plan state too: allocated on the owning thread,
+  /// before a fresh capture opens, from BufferPool::lanes().
+  void ensure_lanes(std::size_t w) {
+    const cusim::BufferPool::PoolScope scope(cusim::BufferPool::lanes());
+    while (lanes.size() < w) lanes.push_back(make_lane());
+  }
+
+  void ensure_home_streams() {
     if (home_streams.empty()) {
       home_streams.push_back(dev->create_stream());
       home_streams.push_back(dev->create_stream());
-    }
-    if (d_signal_alt.size() == 0) {
-      d_signal_alt = DeviceBuffer<cplx>(n);
-      if (p.algo == sfft::Algorithm::kFfast) {
-        // The FFAST front stage only touches the signal and its stage
-        // planes; none of the cusFFT scratch exists on this plan.
-        for (const auto& st : ffast_stages)
-          d_ffast_alt.emplace_back(sfft::kFfastShifts * st.bins);
-        return;
-      }
-      d_buckets_alt = DeviceBuffer<cplx>(L * B);
-      d_z_alt = DeviceBuffer<cplx>(B);
-      d_score_alt = DeviceBuffer<u32>(n);
-      d_num_hits_alt = DeviceBuffer<u32>(1);
-      if (comb_W != 0) d_comb_approved_alt = DeviceBuffer<u32>(comb_W);
     }
   }
 
   // ---------------- kernels ----------------
 
   /// Steps 1-2, Algorithm 2: loop partition, one thread per bucket.
-  void k_perm_filter_partition(std::size_t r, DeviceBuffer<cplx>& dst,
+  void k_perm_filter_partition(Lane& ln, std::size_t r,
+                               DeviceBuffer<cplx>& dst,
                                std::size_t dst_off, StreamId s) {
     const u64 ai = perms[r].ai, tau = perms[r].tau;
     // Index mapping (Fig. 3): index(off) = (tau + off*ai) mod n. Per round
@@ -178,7 +186,7 @@ struct GpuPlan::Impl {
                   u64 index = (tau + tid * ai) & mask;
                   for (std::size_t j = 0; j < rounds; ++j) {
                     const u64 off = tid + B * j;
-                    const cplx xv = sig_->load(t, index);
+                    const cplx xv = ln.signal.load(t, index);
                     const cplx fv = d_filter_time.load(t, off);
                     mr += xv.real() * fv.real() - xv.imag() * fv.imag();
                     mi += xv.real() * fv.imag() + xv.imag() * fv.real();
@@ -190,7 +198,7 @@ struct GpuPlan::Impl {
   }
 
   /// Section V.A: remap chunk c into coalesced order on its own stream.
-  void k_remap(std::size_t r, std::size_t c, StreamId s) {
+  void k_remap(Lane& ln, std::size_t r, std::size_t c, StreamId s) {
     const u64 ai = perms[r].ai, tau = perms[r].tau;
     dev->launch(LaunchCfg::for_elements("pf_remap", B, 256, s)
                     .cache((static_cast<u64>(r) << 32) | c),
@@ -199,26 +207,30 @@ struct GpuPlan::Impl {
                   if (i >= B) return;
                   const u64 off = c * B + i;
                   const u64 index = (tau + off * ai) & mask;
-                  d_chunks.store(t, off, sig_->load(t, index));
+                  ln.chunks.store(t, off, ln.signal.load(t, index));
                 });
   }
 
   /// Section V.A: execute kernel — consumes the reordered chunk, all
-  /// accesses coalesced.
-  void k_execute_chunk(std::size_t c, StreamId s) {
+  /// accesses coalesced. The per-chunk products land on the chunk they
+  /// were read from: a separate product buffer would see the same traffic
+  /// (every buffer is 256-byte aligned) and cost each lane rounds*B more
+  /// host memory.
+  void k_execute_chunk(Lane& ln, std::size_t c, StreamId s) {
     dev->launch(LaunchCfg::for_elements("pf_execute", B, 256, s).cache(c),
                 [&, c](ThreadCtx& t) {
                   const u64 i = t.global_id();
                   if (i >= B) return;
                   const u64 off = c * B + i;
                   t.add_flops(6);
-                  d_partial.store(t, off, d_chunks.load(t, off) *
+                  ln.chunks.store(t, off, ln.chunks.load(t, off) *
                                               d_filter_time.load(t, off));
                 });
   }
 
-  /// Section V.A: combine per-chunk partials into the loop's buckets.
-  void k_combine(DeviceBuffer<cplx>& dst, std::size_t dst_off, StreamId s) {
+  /// Section V.A: combine per-chunk products into the loop's buckets.
+  void k_combine(Lane& ln, DeviceBuffer<cplx>& dst, std::size_t dst_off,
+                 StreamId s) {
     dev->launch(
         LaunchCfg::for_elements("pf_combine", B, 256, s).cache(dst_off),
         [&, dst_off](ThreadCtx& t) {
@@ -226,7 +238,7 @@ struct GpuPlan::Impl {
                   if (i >= B) return;
                   cplx acc{0.0, 0.0};
                   for (std::size_t c = 0; c < rounds; ++c) {
-                    acc += d_partial.load(t, c * B + i);
+                    acc += ln.chunks.load(t, c * B + i);
                     t.add_flops(2);
                   }
                   dst.store(t, dst_off + i, acc);
@@ -236,7 +248,7 @@ struct GpuPlan::Impl {
   /// Ablation: the conventional histogram kernel — one thread per filter
   /// tap, atomicAdd into the shared bucket array (the approach Section IV.C
   /// argues against).
-  void k_atomic_histogram(std::size_t r, DeviceBuffer<cplx>& dst,
+  void k_atomic_histogram(Lane& ln, std::size_t r, DeviceBuffer<cplx>& dst,
                           std::size_t dst_off, StreamId s) {
     const u64 ai = perms[r].ai, tau = perms[r].tau;
     dev->launch(LaunchCfg::for_elements("pf_zero", B, 256, s).cache(dst_off),
@@ -244,16 +256,12 @@ struct GpuPlan::Impl {
                   const u64 i = t.global_id();
                   if (i < B) dst.store(t, dst_off + i, cplx{0.0, 0.0});
                 });
-    // Complex-double atomics: keep the functional accumulation order fixed
-    // so rounding matches the sequential sweep bit for bit.
-    auto cfg = LaunchCfg::for_elements("pf_atomic_hist", w_pad, 256, s);
-    cfg.sequential = true;
-    dev->launch(cfg,
+    dev->launch(LaunchCfg::for_elements("pf_atomic_hist", w_pad, 256, s),
                 [&, ai, tau, dst_off](ThreadCtx& t) {
                   const u64 i = t.global_id();
                   if (i >= w_pad) return;
                   const u64 index = (tau + i * ai) & mask;
-                  const cplx v = sig_->load(t, index) *
+                  const cplx v = ln.signal.load(t, index) *
                                  d_filter_time.load(t, i);
                   t.add_flops(8);
                   dst.atomic_add(t, dst_off + (i % B), v);
@@ -268,7 +276,7 @@ struct GpuPlan::Impl {
   /// The simulator executes threads of a block consecutively, so the
   /// per-block sub-histogram lives in a closure-local array that is flushed
   /// (with traced global atomics) whenever the block index advances.
-  void k_shared_histogram(std::size_t r, DeviceBuffer<cplx>& dst,
+  void k_shared_histogram(Lane& ln, std::size_t r, DeviceBuffer<cplx>& dst,
                           std::size_t dst_off, StreamId s) {
     const u64 ai = perms[r].ai, tau = perms[r].tau;
     dev->launch(LaunchCfg::for_elements("pf_zero", B, 256, s).cache(dst_off),
@@ -287,10 +295,8 @@ struct GpuPlan::Impl {
       }
     };
     // The closure-local sub-histogram emulates per-block shared memory by
-    // relying on blocks executing in order — host-sequential by contract.
-    auto cfg = LaunchCfg::for_elements("pf_shared_hist", w_pad, 256, s);
-    cfg.sequential = true;
-    dev->launch(cfg,
+    // relying on blocks executing in order, as every launch sweeps them.
+    dev->launch(LaunchCfg::for_elements("pf_shared_hist", w_pad, 256, s),
                 [&, ai, tau](ThreadCtx& t) {
                   if (t.block_idx != current_block) {
                     flush(t);  // previous block's merge stage
@@ -299,7 +305,7 @@ struct GpuPlan::Impl {
                   const u64 i = t.global_id();
                   if (i >= w_pad) return;
                   const u64 index = (tau + i * ai) & mask;
-                  const cplx v = sig_->load(t, index) *
+                  const cplx v = ln.signal.load(t, index) *
                                  d_filter_time.load(t, i);
                   t.add_flops(8);
                   t.record_shared(2);  // shared-memory atomic update
@@ -319,7 +325,7 @@ struct GpuPlan::Impl {
   /// Ablation: binning without index mapping — the loop-carried index chain
   /// of Algorithm 1 admits no parallelism, so the whole loop runs on one
   /// thread (the paper's starting point).
-  void k_serial_chain(std::size_t r, DeviceBuffer<cplx>& dst,
+  void k_serial_chain(Lane& ln, std::size_t r, DeviceBuffer<cplx>& dst,
                       std::size_t dst_off, StreamId s) {
     const u64 ai = perms[r].ai, tau = perms[r].tau;
     dev->launch(LaunchCfg::for_elements("pf_zero", B, 256, s).cache(dst_off),
@@ -336,7 +342,7 @@ struct GpuPlan::Impl {
       u64 index = tau & mask;
       for (std::size_t i = 0; i < w_pad; ++i) {
         const cplx v =
-            sig_->load(t, index) * d_filter_time.load(t, i);
+            ln.signal.load(t, index) * d_filter_time.load(t, i);
         const std::size_t b = dst_off + (i % B);
         dst.store(t, b, dst.load(t, b) + v);
         t.add_flops(10);
@@ -346,72 +352,71 @@ struct GpuPlan::Impl {
   }
 
   /// Step 4 baseline (Algorithm 3): sort & select on |bucket|^2 keys.
-  /// Leaves the selected bucket indices in d_vals[0..cutoff).
-  std::size_t cutoff_sort_select(std::size_t r, StreamId s) {
+  /// Leaves the selected bucket indices in ln.vals[0..cutoff).
+  std::size_t cutoff_sort_select(Lane& ln, std::size_t r, StreamId s) {
     dev->launch(LaunchCfg::for_elements("cutoff_keys", B, 256, s).cache(r),
                 [&, r](ThreadCtx& t) {
                   const u64 i = t.global_id();
                   if (i >= B) return;
                   t.add_flops(3);
-                  d_keys.store(t, i, std::norm(buck_->load(t, r * B + i)));
-                  d_vals.store(t, i, static_cast<u32>(i));
+                  ln.keys.store(t, i,
+                                std::norm(ln.buckets.load(t, r * B + i)));
+                  ln.vals.store(t, i, static_cast<u32>(i));
                 });
-    custhrust::sort_pairs_desc(*dev, d_keys, d_vals, opts.sort_algo, s);
+    custhrust::sort_pairs_desc(*dev, ln.keys, ln.vals, opts.sort_algo, s);
     return p.cutoff();
   }
 
   /// Step 4 optimized (Algorithm 6): linear threshold selection. Leaves the
-  /// selected indices in d_selected[0..count).
-  std::size_t cutoff_fast_select(std::size_t r, StreamId s) {
+  /// selected indices in ln.selected[0..count).
+  std::size_t cutoff_fast_select(Lane& ln, std::size_t r, StreamId s) {
     // RMS of this loop's buckets -> threshold (Section V.B: "same order as
     // the small noise coefficients").
     double norm2 = 0.0;
     {
-      // View of loop r's buckets: reuse d_z as a staging copy to keep the
+      // View of loop r's buckets: reuse z as a staging copy to keep the
       // reduction primitive simple (one coalesced copy kernel).
       dev->launch(LaunchCfg::for_elements("cutoff_stage", B, 256, s).cache(r),
                   [&, r](ThreadCtx& t) {
                     const u64 i = t.global_id();
-                    if (i < B) zb_->store(t, i, buck_->load(t, r * B + i));
+                    if (i < B)
+                      ln.z.store(t, i, ln.buckets.load(t, r * B + i));
                   });
-      norm2 = custhrust::reduce_norm2(*dev, *zb_, s);
+      norm2 = custhrust::reduce_norm2(*dev, ln.z, s);
     }
     const double thresh2 =
         opts.select_beta * opts.select_beta * norm2 / static_cast<double>(B);
 
     dev->launch(LaunchCfg::for_elements("select_reset", 1, 1, s).cache(0),
-                [&](ThreadCtx& t) { d_sel_count.store(t, 0, 0); });
-    // The atomic slot counter defines d_selected's layout; thread order
-    // must stay fixed so the selected list is identical (and ascending)
-    // under both host execution paths. B threads — negligible cost.
-    auto cfg = LaunchCfg::for_elements("fast_select", B, 256, s);
-    cfg.sequential = true;
-    dev->launch(cfg,
+                [&](ThreadCtx& t) { ln.sel_count.store(t, 0, 0); });
+    // The atomic slot counter defines ln.selected's layout: threads run in
+    // order, so the selected list comes out ascending.
+    dev->launch(LaunchCfg::for_elements("fast_select", B, 256, s),
                 [&, r, thresh2](ThreadCtx& t) {
                   const u64 i = t.global_id();
                   if (i >= B) return;
                   t.add_flops(3);
-                  if (std::norm(buck_->load(t, r * B + i)) >= thresh2) {
-                    const u32 slot = d_sel_count.atomic_add(t, 0, u32{1});
-                    if (slot < d_selected.size())
-                      d_selected.store(t, slot, static_cast<u32>(i));
+                  if (std::norm(ln.buckets.load(t, r * B + i)) >= thresh2) {
+                    const u32 slot = ln.sel_count.atomic_add(t, 0, u32{1});
+                    if (slot < ln.selected.size())
+                      ln.selected.store(t, slot, static_cast<u32>(i));
                   }
                 });
-    return std::min<std::size_t>(d_sel_count.host()[0], d_selected.size());
+    return std::min<std::size_t>(ln.sel_count.host()[0], ln.selected.size());
   }
 
   /// sFFT 2.0 Comb prefilter on the device: subsample + W-point FFT +
   /// sort&select per round, union the approved residues. (The embedded
   /// sort's kernels report under the cutoff step — a known attribution
   /// quirk of the per-step profile.)
-  void run_comb(StreamId s) {
+  void run_comb(Lane& ln, StreamId s) {
     const std::size_t W = comb_W;
     const std::size_t stride = n / W;
     const std::size_t keep = std::min(p.comb_keep(), W);
     dev->launch(LaunchCfg::for_elements("comb_clear", W, 256, s).cache(W),
                 [&](ThreadCtx& t) {
                   const u64 i = t.global_id();
-                  if (i < W) comb_approved_->store(t, i, 0);
+                  if (i < W) ln.comb_approved.store(t, i, 0);
                 });
     for (const u64 tau : comb_taus) {
       dev->launch(
@@ -419,26 +424,26 @@ struct GpuPlan::Impl {
                   [&, tau, stride](ThreadCtx& t) {
                     const u64 i = t.global_id();
                     if (i >= W) return;
-                    d_comb_y.store(t, i,
-                                   sig_->load(t, (i * stride + tau) &
-                                                        mask));
+                    ln.comb_y.store(
+                        t, i, ln.signal.load(t, (i * stride + tau) & mask));
                   });
-      comb_fft->execute(d_comb_y, cufftsim::Direction::kForward, s);
+      ln.comb_fft->execute(ln.comb_y, cufftsim::Direction::kForward, s);
       dev->launch(LaunchCfg::for_elements("comb_keys", W, 256, s).cache(W),
                   [&](ThreadCtx& t) {
                     const u64 i = t.global_id();
                     if (i >= W) return;
                     t.add_flops(3);
-                    d_comb_keys.store(t, i, std::norm(d_comb_y.load(t, i)));
-                    d_comb_vals.store(t, i, static_cast<u32>(i));
+                    ln.comb_keys.store(t, i,
+                                       std::norm(ln.comb_y.load(t, i)));
+                    ln.comb_vals.store(t, i, static_cast<u32>(i));
                   });
-      custhrust::sort_pairs_desc(*dev, d_comb_keys, d_comb_vals,
+      custhrust::sort_pairs_desc(*dev, ln.comb_keys, ln.comb_vals,
                                  opts.sort_algo, s);
       dev->launch(LaunchCfg::for_elements("comb_mark", keep, 256, s),
                   [&, keep](ThreadCtx& t) {
                     const u64 i = t.global_id();
                     if (i >= keep) return;
-                    comb_approved_->store(t, d_comb_vals.load(t, i), 1);
+                    ln.comb_approved.store(t, ln.comb_vals.load(t, i), 1);
                   });
     }
   }
@@ -446,7 +451,8 @@ struct GpuPlan::Impl {
   /// Step 5, Algorithm 4: reverse hash + vote, one thread per selected
   /// bucket, atomics on the score array. In comb mode, only residues the
   /// prefilter approved receive votes.
-  void k_loc_recover(std::size_t r, const DeviceBuffer<u32>& selected,
+  void k_loc_recover(Lane& ln, std::size_t r,
+                     const DeviceBuffer<u32>& selected,
                      std::size_t count, StreamId s) {
     const u64 a = perms[r].a;
     const u64 width = n / B;
@@ -469,13 +475,13 @@ struct GpuPlan::Impl {
           for (u64 step = 0; step < width; ++step) {
             const bool approved =
                 !has_comb ||
-                comb_approved_->load(t, loc & comb_mask) != 0;
+                ln.comb_approved.load(t, loc & comb_mask) != 0;
             if (approved) {
-              const u32 old = score_->atomic_add(t, loc, u32{1});
+              const u32 old = ln.score.atomic_add(t, loc, u32{1});
               if (old + 1 == threshold) {
-                const u32 slot = num_hits_->atomic_add(t, 0, u32{1});
-                if (slot < d_hits.size())
-                  d_hits.store(t, slot, static_cast<u32>(loc));
+                const u32 slot = ln.num_hits.atomic_add(t, 0, u32{1});
+                if (slot < ln.hits.size())
+                  ln.hits.store(t, slot, static_cast<u32>(loc));
               }
             }
             loc += a;
@@ -486,14 +492,14 @@ struct GpuPlan::Impl {
 
   /// Step 6, Algorithm 5 (plus the tau phase correction; DESIGN.md §6):
   /// one thread per candidate, median over the L loops.
-  void k_estimate(std::size_t count, StreamId s) {
+  void k_estimate(Lane& ln, std::size_t count, StreamId s) {
     const u64 n_div_B = n / B;
     dev->launch(
         LaunchCfg::for_elements("estimate", count, 256, s),
         [&, n_div_B, count](ThreadCtx& t) {
           const u64 tid = t.global_id();
           if (tid >= count) return;
-          const u64 f = d_hits.load(t, tid);
+          const u64 f = ln.hits.load(t, tid);
           double re[kMaxLoops], im[kMaxLoops];
           for (std::size_t r = 0; r < L; ++r) {
             const u64 ai = d_ai.load(t, r);
@@ -508,7 +514,7 @@ struct GpuPlan::Impl {
             const u64 fi = static_cast<u64>(
                 (static_cast<i64>(n) - dist) & static_cast<i64>(mask));
             const cplx g = d_filter_freq.load(t, fi);
-            const cplx bucket = buck_->load(t, r * B + hashed);
+            const cplx bucket = ln.buckets.load(t, r * B + hashed);
             const double ang = -kTwoPi *
                                static_cast<double>((f * tau) & mask) /
                                static_cast<double>(n);
@@ -524,7 +530,7 @@ struct GpuPlan::Impl {
           std::nth_element(re, re + mid, re + L);
           std::nth_element(im, im + mid, im + L);
           t.add_flops(static_cast<double>(2 * L * 4));
-          d_est.store(t, tid, cplx{re[mid], im[mid]});
+          ln.est.store(t, tid, cplx{re[mid], im[mid]});
         });
   }
 
@@ -539,16 +545,14 @@ struct GpuPlan::Impl {
   };
 
   /// Scheduling context for one signal of a batch. The default is the
-  /// serialized path: device-wide annotations and sync points, stream 0,
-  /// primary buffers.
+  /// serialized path: device-wide annotations and sync points, stream 0.
   struct SignalCtx {
     StreamId s = 0;          // home stream for this signal's kernels
     bool pipelined = false;  // stream events instead of device-wide syncs
-    std::size_t parity = 0;  // which per-signal buffer set (bind_buffers)
-    // Previous signal's `done` event: the back stage (cutoff/vote/
-    // estimate) shares single-buffered state with the previous signal's
-    // back stage and may not start before it drains. -1 = none.
-    std::ptrdiff_t back_dep = -1;
+    // The back stage (cutoff/vote/estimate) waits for the previous
+    // signal's `done` event — run_lanes' import 0 — as a device with one
+    // set of back-stage scratch would.
+    bool chain_back = false;
   };
 
   /// Phase labels — shared by GpuExecStats::phase_span_ms keys and the
@@ -573,18 +577,17 @@ struct GpuPlan::Impl {
     return {kPhaseTransfer, kPhaseBin, kPhaseVote, kPhaseEstimate};
   }
 
-  /// The full kernel sequence for one signal, inside an open capture.
-  /// execute() wraps it with stats; execute_many() calls it per signal,
-  /// reusing every piece of device state. Under ctx.pipelined the whole
-  /// sequence issues on home stream ctx.s with stream events replacing the
-  /// device-wide sync points, so two signals on alternating streams (and
-  /// alternating buffer parities) can overlap on the modeled timeline;
-  /// functional execution is eager and host-sequential, so outputs are
-  /// bit-identical regardless of ctx.
-  SparseSpectrum exec_signal(std::span<const cplx> x, PhaseEvents& ev,
-                             const SignalCtx& ctx) {
+  /// The full kernel sequence for one signal on lane `ln`, inside an open
+  /// capture (run_lanes calls it under a Device::LaneScope). Under
+  /// ctx.pipelined the whole sequence issues on home stream ctx.s with
+  /// stream events replacing the device-wide sync points, so two signals
+  /// on alternating streams can overlap on the modeled timeline;
+  /// functional execution is eager, so outputs are bit-identical
+  /// regardless of ctx.
+  SparseSpectrum exec_signal(Lane& ln, std::span<const cplx> x,
+                             PhaseEvents& ev, const SignalCtx& ctx) {
     if (p.algo == sfft::Algorithm::kFfast)
-      return exec_signal_ffast(x, ev, ctx);
+      return exec_signal_ffast(ln, x, ev, ctx);
     cusim::Device& dev = *this->dev;
     if (x.size() != n)
       throw std::invalid_argument("GpuPlan::execute: signal size mismatch");
@@ -592,7 +595,7 @@ struct GpuPlan::Impl {
     // shared by several plans switches domains here; records persist per
     // domain, so interleaved plans still replay their own captures.
     dev.set_graph_domain(graph_salt);
-    bind_buffers(ctx.parity);
+    ln.signal.bind(x);
     const StreamId hs = ctx.s;
     auto annotate = [&](const char* name) {
       return ctx.pipelined ? dev.annotate_phase(name, hs)
@@ -600,33 +603,31 @@ struct GpuPlan::Impl {
     };
     ev.start = annotate(kPhaseTransfer);
 
-    // Input transfer (H2D). When excluded from the modeled time
-    // (GPU-resident comparisons, Fig. 5a-d) the data still lands in device
-    // memory.
+    // Input transfer (H2D), modeled when included (the GPU-resident
+    // comparisons of Fig. 5a-d exclude it). The kernels read the caller's
+    // input through the lane's signal view either way.
     if (opts.include_transfer) {
-      dev.upload(*sig_, x, hs);
+      dev.note_transfer("h2d", static_cast<double>(n * sizeof(cplx)), hs);
       // No kernel may consume the signal mid-transfer. On a pipelined home
       // stream FIFO order already guarantees that; serialized keeps the
       // device-wide sync.
       if (!ctx.pipelined) dev.sync_point();
-    } else {
-      std::copy(x.begin(), x.end(), sig_->host().begin());
     }
 
     // Reset per-signal state.
     dev.launch(LaunchCfg::for_elements("score_clear", n, 256, hs).cache(n),
                [&](ThreadCtx& t) {
                  const u64 i = t.global_id();
-                 if (i < n) score_->store(t, i, 0);
+                 if (i < n) ln.score.store(t, i, 0);
                });
     dev.launch(LaunchCfg::for_elements("hits_reset", 1, 1, hs).cache(0),
-               [&](ThreadCtx& t) { num_hits_->store(t, 0, 0); });
+               [&](ThreadCtx& t) { ln.num_hits.store(t, 0, 0); });
 
     ev.setup = annotate(kPhaseBin);
 
     // ---- sFFT 2.0 Comb prefilter (optional) ----
     if (comb_W != 0) {
-      run_comb(hs);
+      run_comb(ln, hs);
       if (!ctx.pipelined) dev.sync_point();
     }
 
@@ -637,12 +638,12 @@ struct GpuPlan::Impl {
     // before loop r's chunks are consumed (the barrier gave that for free).
     std::size_t gate = ev.setup;
     for (std::size_t r = 0; r < L; ++r) {
-      DeviceBuffer<cplx>& dst = opts.batched_fft ? *buck_ : *zb_;
+      DeviceBuffer<cplx>& dst = opts.batched_fft ? ln.buckets : ln.z;
       const std::size_t dst_off = opts.batched_fft ? r * B : 0;
 
       switch (opts.binning) {
         case Binning::kSerialChain:
-          k_serial_chain(r, dst, dst_off, hs);
+          k_serial_chain(ln, r, dst, dst_off, hs);
           break;
         case Binning::kAsyncTransform: {
           // Fig. 4: remap(c) -> execute(c) on stream c%32; chunks pipeline.
@@ -650,8 +651,8 @@ struct GpuPlan::Impl {
           for (std::size_t c = 0; c < rounds; ++c) {
             const StreamId s = streams[c % streams.size()];
             if (ctx.pipelined && c < nstreams) dev.wait_event(s, gate);
-            k_remap(r, c, s);
-            k_execute_chunk(c, s);
+            k_remap(ln, r, c, s);
+            k_execute_chunk(ln, c, s);
           }
           if (ctx.pipelined) {
             // Join the fan-out back onto the home stream (stream events
@@ -661,28 +662,27 @@ struct GpuPlan::Impl {
           } else {
             dev.sync_point();
           }
-          k_combine(dst, dst_off, hs);
+          k_combine(ln, dst, dst_off, hs);
           if (ctx.pipelined) gate = dev.record_event(hs);
           break;
         }
         case Binning::kLoopPartition:
-          k_perm_filter_partition(r, dst, dst_off, hs);
+          k_perm_filter_partition(ln, r, dst, dst_off, hs);
           break;
         case Binning::kGlobalAtomicHist:
-          k_atomic_histogram(r, dst, dst_off, hs);
+          k_atomic_histogram(ln, r, dst, dst_off, hs);
           break;
         case Binning::kSharedHist:
-          k_shared_histogram(r, dst, dst_off, hs);
+          k_shared_histogram(ln, r, dst, dst_off, hs);
           break;
       }
 
       if (!opts.batched_fft) {
-        fft_single->execute(*zb_, cufftsim::Direction::kForward, hs);
+        ln.fft->execute(ln.z, cufftsim::Direction::kForward, hs);
         dev.launch(LaunchCfg::for_elements("bucket_copy", B, 256, hs).cache(r),
                    [&, r](ThreadCtx& t) {
                      const u64 i = t.global_id();
-                     if (i < B)
-                       buck_->store(t, r * B + i, zb_->load(t, i));
+                     if (i < B) ln.buckets.store(t, r * B + i, ln.z.load(t, i));
                    });
       }
     }
@@ -690,25 +690,24 @@ struct GpuPlan::Impl {
       // All loops binned before the single batched FFT: home-stream FIFO
       // covers it when pipelined.
       if (!ctx.pipelined) dev.sync_point();
-      fft_batched->execute(*buck_, cufftsim::Direction::kForward, hs);
+      ln.fft->execute(ln.buckets, cufftsim::Direction::kForward, hs);
     }
     if (!ctx.pipelined) dev.sync_point();
     ev.binned = annotate(kPhaseVote);
 
-    // The back stage (cutoff/vote/estimate) reuses single-buffered state
-    // (d_hits, sort/select scratch) that the previous signal's back stage
-    // may still be draining — chain behind its `done` event.
-    if (ctx.pipelined && ctx.back_dep >= 0)
-      dev.wait_event(hs, static_cast<std::size_t>(ctx.back_dep));
+    // The back stage (cutoff/vote/estimate) chains behind the previous
+    // signal's `done` event.
+    if (ctx.pipelined && ctx.chain_back)
+      dev.wait_event(hs, cusim::Device::imported_event(0));
 
     // ---- Steps 4-5 per location loop: cutoff + reverse hash voting ----
     for (std::size_t r = 0; r < p.loops_loc; ++r) {
       if (opts.fast_selection) {
-        const std::size_t count = cutoff_fast_select(r, hs);
-        k_loc_recover(r, d_selected, count, hs);
+        const std::size_t count = cutoff_fast_select(ln, r, hs);
+        k_loc_recover(ln, r, ln.selected, count, hs);
       } else {
-        const std::size_t count = cutoff_sort_select(r, hs);
-        k_loc_recover(r, d_vals, count, hs);
+        const std::size_t count = cutoff_sort_select(ln, r, hs);
+        k_loc_recover(ln, r, ln.vals, count, hs);
       }
     }
     if (!ctx.pipelined) dev.sync_point();
@@ -716,14 +715,16 @@ struct GpuPlan::Impl {
 
     // ---- Step 6: estimation ----
     const std::size_t num_hits =
-        std::min<std::size_t>(num_hits_->host()[0], d_hits.size());
-    // Canonicalize candidate order: hits arrive in vote-completion order,
-    // which under the block-parallel host path is a nondeterministic
-    // permutation of the same set. Sorting (host-side, untraced) makes the
-    // estimation kernel's functional state and traced access pattern
-    // identical whichever launch path ran.
-    std::sort(d_hits.host().begin(), d_hits.host().begin() + num_hits);
-    if (num_hits > 0) k_estimate(num_hits, hs);
+        std::min<std::size_t>(ln.num_hits.host()[0], ln.hits.size());
+    // Canonicalize candidate order: hits arrive in vote-completion order.
+    // Sorting (host-side, untraced) hands the estimation kernel its
+    // candidates by location.
+    std::sort(ln.hits.host().begin(), ln.hits.host().begin() + num_hits);
+    // Estimates need num_hits slots, usually far below hits_cap (= n at
+    // the paper's n/k): grow on demand instead of holding n per lane.
+    if (ln.est.size() < num_hits)
+      ln.est = DeviceBuffer<cplx>(std::max(num_hits, 2 * ln.est.size()));
+    if (num_hits > 0) k_estimate(ln, num_hits, hs);
 
     // ---- D2H of the sparse result ----
     dev.note_transfer("d2h", static_cast<double>(num_hits) * (4 + 16), hs);
@@ -736,7 +737,7 @@ struct GpuPlan::Impl {
     SparseSpectrum out;
     out.reserve(num_hits);
     for (std::size_t i = 0; i < num_hits; ++i)
-      out.push_back({d_hits.host()[i], d_est.host()[i]});
+      out.push_back({ln.hits.host()[i], ln.est.host()[i]});
     std::sort(out.begin(), out.end(),
               [](const SparseCoef& a, const SparseCoef& b) {
                 return a.loc < b.loc;
@@ -750,15 +751,15 @@ struct GpuPlan::Impl {
   /// branch-heavy and data-dependent, exactly the shape Section IV argues
   /// off the GPU, and at O(sum_s F_s) buckets it is not the bottleneck.
   /// Honors the same SignalCtx contract as exec_signal; the back "stage"
-  /// (d2h + peel) touches only parity-local state, so pipelined signals
-  /// need no back_dep chaining.
-  SparseSpectrum exec_signal_ffast(std::span<const cplx> x, PhaseEvents& ev,
-                                   const SignalCtx& ctx) {
+  /// (d2h + peel) touches only the signal's own planes, so pipelined
+  /// signals need no back-stage chaining.
+  SparseSpectrum exec_signal_ffast(Lane& ln, std::span<const cplx> x,
+                                   PhaseEvents& ev, const SignalCtx& ctx) {
     cusim::Device& dev = *this->dev;
     if (x.size() != n)
       throw std::invalid_argument("GpuPlan::execute: signal size mismatch");
     dev.set_graph_domain(graph_salt);
-    bind_buffers(ctx.parity);
+    ln.signal.bind(x);
     const StreamId hs = ctx.s;
     auto annotate = [&](const char* name) {
       return ctx.pipelined ? dev.annotate_phase(name, hs)
@@ -766,10 +767,8 @@ struct GpuPlan::Impl {
     };
     ev.start = annotate(kPhaseTransfer);
     if (opts.include_transfer) {
-      dev.upload(*sig_, x, hs);
+      dev.note_transfer("h2d", static_cast<double>(n * sizeof(cplx)), hs);
       if (!ctx.pipelined) dev.sync_point();
-    } else {
-      std::copy(x.begin(), x.end(), sig_->host().begin());
     }
 
     ev.setup = annotate(kPhaseFfastBin);
@@ -788,11 +787,10 @@ struct GpuPlan::Impl {
             const u64 i = t.global_id();
             if (i >= elems) return;
             const u64 c = i / bins, m = i % bins;
-            (*ffast_)[si].store(t, i,
-                                sig_->load(t, (m * step + c) & mask));
+            ln.ffast[si].store(t, i, ln.signal.load(t, (m * step + c) & mask));
           });
-      ffast_ffts[si]->execute((*ffast_)[si], cufftsim::Direction::kForward,
-                              hs);
+      ln.ffast_ffts[si]->execute(ln.ffast[si], cufftsim::Direction::kForward,
+                                 hs);
     }
     if (!ctx.pipelined) dev.sync_point();
     ev.binned = annotate(kPhaseFfastD2h);
@@ -803,7 +801,7 @@ struct GpuPlan::Impl {
     dev.note_transfer("d2h", static_cast<double>(total) * sizeof(cplx), hs);
     std::vector<cplx> planes(total);
     for (std::size_t si = 0; si < ffast_stages.size(); ++si) {
-      const auto host = (*ffast_)[si].host();
+      const auto host = ln.ffast[si].host();
       std::copy(host.begin(), host.end(),
                 planes.begin() +
                     static_cast<std::ptrdiff_t>(ffast_stages[si].offset));
@@ -818,6 +816,65 @@ struct GpuPlan::Impl {
       dev.close_phase(hs, ev.done);
     } else {
       ev.done = dev.record_event();
+    }
+    return out;
+  }
+
+  /// How run_lanes places a batch on the modeled device.
+  enum class Schedule {
+    kSingle,      ///< one signal, no trailing sync (execute())
+    kSerialized,  ///< a device-wide sync after every signal
+    kPipelined,   ///< alternating home streams, chained by stream events
+  };
+
+  /// Runs every signal's kernel sequence on a lane — slot l of the
+  /// device's pool runs a contiguous range of signals on lanes[l], which
+  /// must exist (ensure_lanes(pool().chunks(size))) — then applies the
+  /// signals' logs on the calling thread in signal order, so the device
+  /// sees the serial program's calls whatever the lane count. The first
+  /// failing signal's exception is rethrown once the logs before it, and
+  /// its own up to the failure, are applied: the serial program's state.
+  /// `ev` receives device event ids.
+  std::vector<SparseSpectrum> run_lanes(
+      std::span<const std::span<const cplx>> xs, Schedule sched,
+      std::vector<PhaseEvents>& ev) {
+    const std::size_t count = xs.size();
+    const bool pipelined = sched == Schedule::kPipelined;
+    if (logs.size() < count) logs.resize(count);
+    std::vector<SparseSpectrum> out(count);
+    std::vector<std::exception_ptr> errors(count);
+    ev.assign(count, PhaseEvents{});
+    dev->pool().parallel_for_indexed(
+        count, [&](std::size_t lane, std::size_t begin, std::size_t end) {
+          Lane& ln = *lanes[lane];
+          for (std::size_t i = begin; i < end; ++i) {
+            try {
+              const cusim::Device::LaneScope scope(*dev, ln.exec, logs[i]);
+              SignalCtx ctx;
+              if (pipelined) {
+                ctx.s = home_streams[i & 1];
+                ctx.pipelined = true;
+                ctx.chain_back = i > 0;
+              }
+              out[i] = exec_signal(ln, xs[i], ev[i], ctx);
+            } catch (...) {
+              errors[i] = std::current_exception();
+              return;  // the serial program stops at its first failure
+            }
+          }
+        });
+    for (std::size_t i = 0; i < count; ++i) {
+      // The previous signal's events have device ids by now: its `binned`
+      // gates this front stage, its `done` (import 0) this back stage.
+      const std::size_t prev_done = i > 0 ? ev[i - 1].done : 0;
+      if (pipelined && i > 0)
+        dev->wait_event(home_streams[i & 1], ev[i - 1].binned);
+      dev->apply(logs[i], std::span<const std::size_t>(&prev_done, i > 0));
+      if (errors[i]) std::rethrow_exception(errors[i]);
+      for (std::size_t* id : {&ev[i].start, &ev[i].setup, &ev[i].binned,
+                              &ev[i].voted, &ev[i].done})
+        *id = logs[i].event_id(*id);
+      if (sched == Schedule::kSerialized) dev->sync_point();
     }
     return out;
   }
@@ -839,8 +896,8 @@ GpuPlan::GpuPlan(cusim::Device& dev, sfft::Params params, Options opts)
   im.mask = im.n - 1;
 
   if (params.algo == sfft::Algorithm::kFfast) {
-    // FFAST plan: the stage chain, one plane buffer + batched FFT plan per
-    // stage, and the signal buffer. None of the cusFFT filter /
+    // FFAST plan: the stage chain and a lane of stage planes + batched FFT
+    // plans. None of the cusFFT filter /
     // permutation / vote state exists on this plan — the backends share
     // only the Params and the device.
     im.ffast_stages = sfft::ffast_stage_chain(im.n, params.ffast_bins(),
@@ -866,13 +923,7 @@ GpuPlan::GpuPlan(cusim::Device& dev, sfft::Params params, Options opts)
     for (const auto& st : im.ffast_stages) sh.mix(st.bins);
     im.graph_salt = sh.h;
 
-    im.d_signal = DeviceBuffer<cplx>(im.n);
-    for (const auto& st : im.ffast_stages) {
-      im.d_ffast.emplace_back(sfft::kFfastShifts * st.bins);
-      im.ffast_ffts.push_back(std::make_unique<cufftsim::Plan>(
-          dev, st.bins, sfft::kFfastShifts));
-    }
-    im.bind_buffers(0);
+    im.lanes.push_back(im.make_lane());
     return;
   }
 
@@ -952,7 +1003,6 @@ GpuPlan::GpuPlan(cusim::Device& dev, sfft::Params params, Options opts)
                                          (im.n / im.B)));
 
   // Device allocations + one-time uploads (plan setup, outside captures).
-  im.d_signal = DeviceBuffer<cplx>(im.n);
   im.d_filter_time = DeviceBuffer<cplx>(im.w_pad);
   im.d_filter_freq = DeviceBuffer<cplx>(im.n);
   std::copy(filter->time.begin(), filter->time.end(),
@@ -969,39 +1019,10 @@ GpuPlan::GpuPlan(cusim::Device& dev, sfft::Params params, Options opts)
     im.d_a.host()[r] = im.perms[r].a;
     im.d_tau.host()[r] = im.perms[r].tau;
   }
-  im.d_buckets = DeviceBuffer<cplx>(im.L * im.B);
-  if (opts.binning == Binning::kAsyncTransform) {
-    im.d_chunks = DeviceBuffer<cplx>(im.rounds * im.B);
-    im.d_partial = DeviceBuffer<cplx>(im.rounds * im.B);
-  }
-  im.d_score = DeviceBuffer<u32>(im.n);
-  im.d_hits = DeviceBuffer<u32>(im.hits_cap);
-  im.d_num_hits = DeviceBuffer<u32>(1);
-  im.d_est = DeviceBuffer<cplx>(im.hits_cap);
-  if (opts.fast_selection) {
-    im.d_selected = DeviceBuffer<u32>(im.B);
-    im.d_sel_count = DeviceBuffer<u32>(1);
-  } else {
-    im.d_keys = DeviceBuffer<double>(im.B);
-    im.d_vals = DeviceBuffer<u32>(im.B);
-  }
   for (unsigned i = 0; i < dev.spec().max_concurrent_kernels; ++i)
     im.streams.push_back(dev.create_stream());
-  if (opts.batched_fft) {
-    im.fft_batched = std::make_unique<cufftsim::Plan>(dev, im.B, im.L);
-  } else {
-    im.fft_single = std::make_unique<cufftsim::Plan>(dev, im.B, 1);
-  }
-  im.d_z = DeviceBuffer<cplx>(im.B);
-  if (params.comb) {
-    im.comb_W = params.comb_w();
-    im.d_comb_approved = DeviceBuffer<u32>(im.comb_W);
-    im.d_comb_y = DeviceBuffer<cplx>(im.comb_W);
-    im.d_comb_keys = DeviceBuffer<double>(im.comb_W);
-    im.d_comb_vals = DeviceBuffer<u32>(im.comb_W);
-    im.comb_fft = std::make_unique<cufftsim::Plan>(dev, im.comb_W, 1);
-  }
-  im.bind_buffers(0);
+  if (params.comb) im.comb_W = params.comb_w();
+  im.lanes.push_back(im.make_lane());
 }
 
 GpuPlan::~GpuPlan() = default;
@@ -1019,8 +1040,10 @@ SparseSpectrum GpuPlan::execute(std::span<const cplx> x,
 
   WallTimer wall;
   dev.begin_capture();
-  Impl::PhaseEvents ev;
-  SparseSpectrum out = im.exec_signal(x, ev, Impl::SignalCtx{});
+  std::vector<Impl::PhaseEvents> evs;
+  SparseSpectrum out =
+      std::move(im.run_lanes({&x, 1}, Impl::Schedule::kSingle, evs).front());
+  const Impl::PhaseEvents& ev = evs.front();
 
   // Stats are assembled whether or not the caller asked for them: the
   // always-on registry records every execute. The event queries hit the
@@ -1089,10 +1112,10 @@ std::vector<SparseSpectrum> GpuPlan::run_batch(
       resolve_batch_mode(mode, xs.size()) == BatchMode::kPipelined;
 
   WallTimer wall;
-  // Alt-parity buffers and home streams are plan state: allocate them
-  // before the capture opens so a warm plan's capture still shows a zero
-  // pool delta.
-  if (pipelined) im.ensure_pipeline_state();
+  // Lanes and home streams are plan state: allocate them before the
+  // capture opens so a warm plan's capture still shows a zero pool delta.
+  if (pipelined) im.ensure_home_streams();
+  im.ensure_lanes(dev.pool().chunks(xs.size()));
   // One capture for the whole batch: every device buffer, the uploaded
   // filter, the cuFFT-sim plans and the stream pool are reused across
   // signals, so per-signal cost is purely the kernel sequence. The
@@ -1100,41 +1123,15 @@ std::vector<SparseSpectrum> GpuPlan::run_batch(
   // mixed-shape shards run several plans' batches in one capture, so
   // opening a fresh one here would erase the earlier shape groups.
   if (fresh_capture) dev.begin_capture();
-  std::vector<SparseSpectrum> out;
-  out.reserve(xs.size());
+  // Pipelined: signal i+1's transfer + reset + binning (the front stage,
+  // on the other home stream) overlaps signal i's cutoff/vote/estimate
+  // (the back stage). See DESIGN.md for the dependency graph.
+  std::vector<Impl::PhaseEvents> evs;
+  std::vector<SparseSpectrum> out = im.run_lanes(
+      xs, pipelined ? Impl::Schedule::kPipelined : Impl::Schedule::kSerialized,
+      evs);
   std::size_t candidates = 0;
-  std::vector<Impl::PhaseEvents> evs(xs.size());
-  if (pipelined) {
-    // Two-stage software pipeline over two home streams: signal i+1's
-    // transfer + reset + binning (the front stage, on the other stream and
-    // buffer parity) overlaps signal i's cutoff/vote/estimate (the back
-    // stage). Fronts chain on the previous front's `binned` event (they
-    // share the chunk/FFT scratch); backs chain on the previous back's
-    // `done` event (they share the hits/sort scratch). See DESIGN.md for
-    // the dependency graph.
-    std::ptrdiff_t front_done = -1, prev_done = -1;
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      Impl::SignalCtx ctx;
-      ctx.pipelined = true;
-      ctx.parity = i & 1;
-      ctx.s = im.home_streams[i & 1];
-      ctx.back_dep = prev_done;
-      if (front_done >= 0)
-        dev.wait_event(ctx.s, static_cast<std::size_t>(front_done));
-      out.push_back(im.exec_signal(xs[i], evs[i], ctx));
-      candidates += out.back().size();
-      front_done = static_cast<std::ptrdiff_t>(evs[i].binned);
-      prev_done = static_cast<std::ptrdiff_t>(evs[i].done);
-    }
-    im.bind_buffers(0);  // leave the plan on the primary (serialized) set
-  } else {
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      out.push_back(im.exec_signal(xs[i], evs[i], Impl::SignalCtx{}));
-      candidates += out.back().size();
-      // Signals are serialized on the device timeline.
-      dev.sync_point();
-    }
-  }
+  for (const SparseSpectrum& sp : out) candidates += sp.size();
 
   // Stats are assembled even when the caller passes nullptr so the
   // always-on registry sees every batch. Publication happens only for

@@ -35,9 +35,9 @@ enum class BatchMode {
   kSerialized,  ///< one signal at a time (device-wide sync between signals)
   kPipelined,   ///< stream-pipelined: signal i+1's transfer and binning
                 ///< kernels overlap signal i's cutoff/vote/estimate on the
-                ///< modeled timeline (double-buffered per-signal state,
-                ///< stream events instead of device-wide syncs). Outputs
-                ///< are bit-identical to the serialized schedule.
+                ///< modeled timeline (two home streams, stream events
+                ///< instead of device-wide syncs). Outputs are
+                ///< bit-identical to the serialized schedule.
 };
 
 /// One signal's window of a batch, computed from that signal's own stream
@@ -126,14 +126,16 @@ class GpuPlan {
 
   /// Throughput path: runs the algorithm on every signal of the batch in
   /// one capture, reusing all of the plan's device state (no per-signal
-  /// setup, pooled buffers stay warm). Under BatchMode::kPipelined (the
-  /// kAuto default for >= 2 signals) signals alternate between two home
-  /// streams with double-buffered per-signal device state, so signal
-  /// i+1's H2D transfer and binning kernels overlap signal i's
-  /// cutoff/vote/estimate kernels on the modeled timeline; outputs are
-  /// bit-identical to the serialized schedule either way (functional
-  /// execution is eager and host-sequential). Each signal must have
-  /// length n.
+  /// setup, pooled buffers stay warm). The signals run on lanes — as many
+  /// as the device's pool has workers, capped at the batch size — each
+  /// with its own per-signal buffers, and their device calls reach the
+  /// device in signal order, so results, modeled times and captures are
+  /// the same at every lane count. Under BatchMode::kPipelined (the kAuto
+  /// default for >= 2 signals) signals alternate between two home
+  /// streams, so signal i+1's H2D transfer and binning kernels overlap
+  /// signal i's cutoff/vote/estimate kernels on the modeled timeline;
+  /// outputs are bit-identical to the serialized schedule either way.
+  /// Each signal must have length n; the kernels read it in place.
   std::vector<SparseSpectrum> execute_many(
       std::span<const std::span<const cplx>> xs,
       GpuBatchStats* stats = nullptr, BatchMode mode = BatchMode::kAuto);

@@ -1,12 +1,12 @@
 // Device global-memory buffer: host-backed storage (the simulator executes
 // kernels functionally on real data) plus a distinct device address range so
 // the warp tracer can run the 128-byte coalescing analysis. Storage comes
-// from the process-wide BufferPool, so destroying a buffer parks its
-// allocation for the next plan or execute() instead of freeing it.
+// from the calling thread's current BufferPool, so destroying a buffer
+// parks its allocation for the next plan or execute() instead of freeing
+// it. Kernels of one launch run on one host thread (a lane sweeps its grid
+// in order), so device atomics need no host synchronization.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <span>
 #include <stdexcept>
 #include <type_traits>
@@ -17,32 +17,6 @@
 
 namespace cusfft::cusim {
 
-namespace detail {
-/// Address-striped spin locks making the functional side of device atomics
-/// genuinely atomic under the block-parallel launch path. Same address ->
-/// same lock, so read-modify-writes on one cell serialize; different cells
-/// at worst share a stripe (harmless contention). Uncontended cost is one
-/// cache-hot test_and_set, so the sequential path is unaffected.
-inline std::atomic_flag& atomic_lock_for(u64 addr) {
-  static std::array<std::atomic_flag, 256> locks;
-  return locks[(addr >> 3) & 255];
-}
-
-class AtomicGuard {
- public:
-  explicit AtomicGuard(u64 addr) : lock_(atomic_lock_for(addr)) {
-    while (lock_.test_and_set(std::memory_order_acquire)) {
-    }
-  }
-  ~AtomicGuard() { lock_.clear(std::memory_order_release); }
-  AtomicGuard(const AtomicGuard&) = delete;
-  AtomicGuard& operator=(const AtomicGuard&) = delete;
-
- private:
-  std::atomic_flag& lock_;
-};
-}  // namespace detail
-
 template <typename T>
 class DeviceBuffer {
   static_assert(std::is_trivially_copyable_v<T>,
@@ -52,18 +26,20 @@ class DeviceBuffer {
  public:
   DeviceBuffer() = default;
   explicit DeviceBuffer(std::size_t count)
-      : block_(BufferPool::global().acquire(count * sizeof(T))),
+      : pool_(&BufferPool::current()),
+        block_(pool_->acquire(count * sizeof(T))),
         count_(count) {}
-  ~DeviceBuffer() { BufferPool::global().release(std::move(block_)); }
+  ~DeviceBuffer() { pool_->release(std::move(block_)); }
 
   DeviceBuffer(DeviceBuffer&& o) noexcept
-      : block_(std::move(o.block_)), count_(o.count_) {
+      : pool_(o.pool_), block_(std::move(o.block_)), count_(o.count_) {
     o.block_ = BufferPool::Block{};
     o.count_ = 0;
   }
   DeviceBuffer& operator=(DeviceBuffer&& o) noexcept {
     if (this != &o) {
-      BufferPool::global().release(std::move(block_));
+      pool_->release(std::move(block_));
+      pool_ = o.pool_;
       block_ = std::move(o.block_);
       count_ = o.count_;
       o.block_ = BufferPool::Block{};
@@ -92,12 +68,10 @@ class DeviceBuffer {
     data()[i] = v;
   }
   /// Read-modify-write with conflict accounting (atomicAdd and friends).
-  /// Atomic for real: concurrent blocks may hit the same cell.
   template <typename U>
   T atomic_add(ThreadCtx& t, std::size_t i, const U& delta) {
     check(i);
     t.record_atomic(device_addr(i), sizeof(T));
-    detail::AtomicGuard g(device_addr(i));
     const T old = data()[i];
     data()[i] = static_cast<T>(old + delta);
     return old;
@@ -106,7 +80,6 @@ class DeviceBuffer {
   T atomic_max(ThreadCtx& t, std::size_t i, const T& v) {
     check(i);
     t.record_atomic(device_addr(i), sizeof(T));
-    detail::AtomicGuard g(device_addr(i));
     const T old = data()[i];
     if (v > old) data()[i] = v;
     return old;
@@ -140,7 +113,41 @@ class DeviceBuffer {
     if (i >= count_)
       throw std::out_of_range("DeviceBuffer: index out of range");
   }
+  BufferPool* pool_ = &BufferPool::global();  // the pool block_ came from
   BufferPool::Block block_;
+  std::size_t count_ = 0;
+};
+
+/// Read-only device array over host memory the caller owns — an input
+/// signal the kernels only read, so a plan need not copy it in. The view
+/// keeps one simulated address range and is rebound per use; loads trace
+/// exactly like DeviceBuffer::load.
+template <typename T>
+class DeviceView {
+ public:
+  DeviceView() = default;
+  explicit DeviceView(std::size_t count)
+      : base_(reserve_device_range(count * sizeof(T))), count_(count) {}
+
+  /// Points the view at `data`, which must hold size() elements and
+  /// outlive the kernels that read it.
+  void bind(std::span<const T> data) {
+    if (data.size() != count_)
+      throw std::invalid_argument("cusim DeviceView: size mismatch");
+    data_ = data.data();
+  }
+
+  std::size_t size() const { return count_; }
+  const T& load(ThreadCtx& t, std::size_t i) const {
+    if (i >= count_) throw std::out_of_range("DeviceView: index out of range");
+    t.record_global(base_ + i * sizeof(T), sizeof(T));
+    return data_[i];
+  }
+  std::span<const T> host() const { return {data_, count_}; }
+
+ private:
+  u64 base_ = 0;
+  const T* data_ = nullptr;
   std::size_t count_ = 0;
 };
 

@@ -10,11 +10,6 @@
 namespace cusfft::cusim {
 
 namespace {
-bool sequential_env() {
-  const char* env = std::getenv("CUSIM_SEQUENTIAL");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
 GraphMode graph_mode_env() {
   const char* env = std::getenv("CUSFFT_GRAPH");
   if (env == nullptr || env[0] == '\0') return GraphMode::kOn;
@@ -26,7 +21,6 @@ GraphMode graph_mode_env() {
 
 Device::Device(perfmodel::GpuSpec spec)
     : model_(spec), timeline_(spec.max_concurrent_kernels) {
-  parallel_ = !sequential_env();
   graph_mode_ = graph_mode_env();
   pool_at_capture_ = BufferPool::global().stats();
 }
@@ -52,6 +46,8 @@ void Device::publish_metrics() {
 
   // Launch-arena footprint: high-water marks across every device so far.
   LaunchArena::Stats a = accum_.arena().stats();
+  a.chunks = std::max(a.chunks, lane_arena_.chunks);
+  a.bytes_reserved = std::max(a.bytes_reserved, lane_arena_.bytes_reserved);
   const LaunchArena::Stats deps = timeline_.arena_stats();
   a.chunks += deps.chunks;
   a.bytes_reserved += deps.bytes_reserved;
@@ -60,12 +56,97 @@ void Device::publish_metrics() {
       .set_max(static_cast<double>(a.bytes_reserved));
 }
 
-ThreadPool* Device::launch_pool(const LaunchCfg& cfg) const {
-  if (!parallel_ || cfg.sequential || cfg.blocks < 2) return nullptr;
-  if (cfg.blocks * cfg.threads_per_block < min_parallel_threads_)
-    return nullptr;
-  ThreadPool* pool = own_pool_only_ ? pool_ : &ThreadPool::global();
-  return pool != nullptr && pool->size() > 1 ? pool : nullptr;
+std::size_t DeviceLog::event_id(std::size_t id) const {
+  if (id & kLaneEvent) return events_.at(id & ~kLaneEvent);
+  if (id & kImportedEvent) return imports_.at(id & ~kImportedEvent);
+  return id;
+}
+
+Device::LaneScope::LaneScope(Device& dev, Lane& lane, DeviceLog& log)
+    : binding_{&dev, &lane, &log, dev.graph_salt_},
+      prev_(this_thread_binding()),
+      pool_(BufferPool::lanes()) {
+  log.clear();
+  // Records the lane traced are valid while the device keeps its own.
+  if (lane.device_ != &dev || lane.epoch_ != dev.graph_epoch_) {
+    lane.traced_.clear();
+    lane.device_ = &dev;
+    lane.epoch_ = dev.graph_epoch_;
+  }
+  this_thread_binding() = &binding_;
+}
+
+Device::LaneScope::~LaneScope() {
+  binding_.log->arena_ = binding_.lane->accum_.arena().stats();
+  this_thread_binding() = prev_;
+}
+
+const LaunchRecord* Device::find_record(const DeviceLog::Entry& e,
+                                        Binding* b) {
+  const LaunchGraph::Key key = key_of(e);
+  if (const auto it = graph_.records.find(key); it != graph_.records.end())
+    return &it->second;
+  if (b != nullptr)
+    if (const auto it = b->lane->traced_.find(key);
+        it != b->lane->traced_.end())
+      return &it->second;
+  return nullptr;
+}
+
+std::size_t Device::mark(std::string* name, bool scoped, StreamId s) {
+  if (DeviceLog::Entry* e = logged(
+          name != nullptr ? DeviceLog::Op::kPhase : DeviceLog::Op::kEvent, s)) {
+    e->scoped = scoped;
+    if (name != nullptr) e->phase = std::move(*name);
+    return DeviceLog::kLaneEvent | bound()->log->lane_events_++;
+  }
+  const std::size_t ev =
+      scoped ? timeline_.record_event(s) : timeline_.record_event();
+  if (name != nullptr) {
+    PhaseAnnotation a;
+    a.name = std::move(*name);
+    a.event_id = ev;
+    a.stream = s;
+    a.scoped = scoped;
+    phases_.push_back(std::move(a));
+  }
+  return ev;
+}
+
+void Device::apply(DeviceLog& log, std::span<const std::size_t> imports) {
+  log.events_.clear();
+  log.imports_.assign(imports.begin(), imports.end());
+  lane_arena_.chunks = std::max(lane_arena_.chunks, log.arena_.chunks);
+  lane_arena_.bytes_reserved =
+      std::max(lane_arena_.bytes_reserved, log.arena_.bytes_reserved);
+  using Op = DeviceLog::Op;
+  for (DeviceLog::Entry& e : log.entries_) {
+    switch (e.op) {
+      case Op::kKernel:
+        apply_kernel(e);
+        break;
+      case Op::kCopy:
+        submit_copy(e.name, e.amount, e.stream);
+        break;
+      case Op::kBarrier:
+        timeline_.barrier();
+        break;
+      case Op::kEvent:
+      case Op::kPhase:
+        log.events_.push_back(mark(e.op == Op::kPhase ? &e.phase : nullptr,
+                                   e.scoped, e.stream));
+        break;
+      case Op::kWait:
+        timeline_.wait_event(e.stream, log.event_id(e.event));
+        break;
+      case Op::kClosePhase:
+        close_phase(e.stream, log.event_id(e.event));
+        break;
+      case Op::kDomain:
+        graph_salt_ = e.salt;
+        break;
+    }
+  }
 }
 
 void Device::begin_capture() {
@@ -83,61 +164,65 @@ CaptureProfile Device::end_capture() {
 
 double Device::elapsed_model_ms() { return timeline_.simulate() * 1e3; }
 
-void Device::finish_launch(const LaunchCfg& cfg, double flops) {
-  submit_kernel_item(cfg, flops, accum_.scaled_totals(),
-                     accum_.max_atomic_conflict());
+void Device::apply_kernel(const DeviceLog::Entry& e) {
+  if (e.graph == DeviceLog::Graph::kNone) {
+    submit_kernel_item(e, e.rec);
+    return;
+  }
+  const auto [it, first] = graph_.records.try_emplace(key_of(e), e.rec);
+  if (first) {
+    ++graph_.stats.records;
+  } else if (e.graph == DeviceLog::Graph::kTraced) {
+    // A traced launch that finds a record: verify mode's cross-check, or a
+    // lane that traced before an earlier signal's record was applied.
+    const LaunchRecord& rec = it->second;
+    const WarpTotals& t = e.rec.totals;
+    const bool ok = t.coalesced_tx == rec.totals.coalesced_tx &&
+                    t.random_tx == rec.totals.random_tx &&
+                    t.useful_bytes == rec.totals.useful_bytes &&
+                    t.atomic_ops == rec.totals.atomic_ops &&
+                    t.shared_accesses == rec.totals.shared_accesses &&
+                    e.rec.max_atomic_conflict == rec.max_atomic_conflict;
+    if (!ok)
+      throw std::runtime_error(
+          std::string("cusim graph verify: counters diverged from captured "
+                      "record for kernel '") +
+          e.name +
+          "' — the launch was marked cacheable but its access pattern is "
+          "not determined by (name, graph_key, shape)");
+    if (graph_mode_ == GraphMode::kVerify) {
+      ++graph_.stats.verified;
+    } else {
+      ++graph_.stats.replays;
+    }
+  } else {
+    ++graph_.stats.replays;
+  }
+  submit_kernel_item(e, graph_mode_ == GraphMode::kVerify ? e.rec
+                                                          : it->second);
 }
 
-void Device::finish_replay(const LaunchCfg& cfg, double flops,
-                           const LaunchRecord& rec) {
-  submit_kernel_item(cfg, flops, rec.totals, rec.max_atomic_conflict);
-}
-
-LaunchRecord Device::record_from_accum() {
-  LaunchRecord rec;
-  rec.totals = accum_.scaled_totals();
-  rec.max_atomic_conflict = accum_.max_atomic_conflict();
-  return rec;
-}
-
-void Device::verify_replay_record(const LaunchCfg& cfg,
-                                  const LaunchRecord& rec) {
-  const WarpTotals t = accum_.scaled_totals();
-  const bool ok = t.coalesced_tx == rec.totals.coalesced_tx &&
-                  t.random_tx == rec.totals.random_tx &&
-                  t.useful_bytes == rec.totals.useful_bytes &&
-                  t.atomic_ops == rec.totals.atomic_ops &&
-                  t.shared_accesses == rec.totals.shared_accesses &&
-                  accum_.max_atomic_conflict() == rec.max_atomic_conflict;
-  if (!ok)
-    throw std::runtime_error(
-        std::string("cusim graph verify: counters diverged from captured "
-                    "record for kernel '") +
-        cfg.name +
-        "' — the launch was marked cacheable but its access pattern is not "
-        "determined by (name, graph_key, shape)");
-}
-
-void Device::submit_kernel_item(const LaunchCfg& cfg, double flops,
-                                const WarpTotals& t, double max_conflict) {
+void Device::submit_kernel_item(const DeviceLog::Entry& e,
+                                const LaunchRecord& r) {
+  const WarpTotals& t = r.totals;
   perfmodel::KernelCounters c;
-  c.name = cfg.name;
-  c.blocks = static_cast<double>(cfg.blocks);
-  c.threads = static_cast<double>(cfg.blocks) * cfg.threads_per_block;
-  c.warps = c.blocks * std::ceil(static_cast<double>(cfg.threads_per_block) /
+  c.name = e.name;
+  c.blocks = static_cast<double>(e.blocks);
+  c.threads = static_cast<double>(e.blocks) * e.threads_per_block;
+  c.warps = c.blocks * std::ceil(static_cast<double>(e.threads_per_block) /
                                  spec().warp_size);
   c.coalesced_transactions = t.coalesced_tx;
   c.random_transactions = t.random_tx;
   c.bytes_useful = t.useful_bytes;
-  c.flops = flops;
+  c.flops = e.amount;
   c.atomic_ops = t.atomic_ops;
-  c.max_atomic_conflict = max_conflict;
+  c.max_atomic_conflict = r.max_atomic_conflict;
   c.shared_accesses = t.shared_accesses;
 
   const perfmodel::KernelCost cost = model_.kernel_cost(c);
   TimelineItem item;
-  item.name = cfg.name;
-  item.stream = cfg.stream;
+  item.name = e.name;
+  item.stream = e.stream;
   item.resource = Resource::kDeviceMemory;
   item.mem_s = cost.mem_s;
   item.compute_s = cost.compute_s + cost.atomic_s + cost.overhead_s;
@@ -147,21 +232,21 @@ void Device::submit_kernel_item(const LaunchCfg& cfg, double flops,
   item.atomic_conflict = c.max_atomic_conflict;
   timeline_.submit(std::move(item));
 
-  KernelReport& r = report_[cfg.name];
-  ++r.launches;
-  r.counters.name = cfg.name;
-  r.counters.blocks += c.blocks;
-  r.counters.threads += c.threads;
-  r.counters.warps += c.warps;
-  r.counters.coalesced_transactions += c.coalesced_transactions;
-  r.counters.random_transactions += c.random_transactions;
-  r.counters.bytes_useful += c.bytes_useful;
-  r.counters.flops += c.flops;
-  r.counters.atomic_ops += c.atomic_ops;
-  r.counters.max_atomic_conflict =
-      std::max(r.counters.max_atomic_conflict, c.max_atomic_conflict);
-  r.counters.shared_accesses += c.shared_accesses;
-  r.solo_s += cost.total_s;
+  KernelReport& rep = report_[e.name];
+  ++rep.launches;
+  rep.counters.name = e.name;
+  rep.counters.blocks += c.blocks;
+  rep.counters.threads += c.threads;
+  rep.counters.warps += c.warps;
+  rep.counters.coalesced_transactions += c.coalesced_transactions;
+  rep.counters.random_transactions += c.random_transactions;
+  rep.counters.bytes_useful += c.bytes_useful;
+  rep.counters.flops += c.flops;
+  rep.counters.atomic_ops += c.atomic_ops;
+  rep.counters.max_atomic_conflict =
+      std::max(rep.counters.max_atomic_conflict, c.max_atomic_conflict);
+  rep.counters.shared_accesses += c.shared_accesses;
+  rep.solo_s += cost.total_s;
 }
 
 void Device::submit_copy(const char* name, double bytes, StreamId s) {

@@ -4,15 +4,20 @@
 // plus modeled durations on the configured GpuSpec (default: the paper's
 // Tesla K20x, Table I).
 //
-// Host execution model: thread blocks are independent in CUDA semantics, so
-// the functional sweep fans blocks out over the process-wide ThreadPool
-// (contiguous block ranges per worker). Each worker traces into its own
-// KernelAccum; after the grid drains they are merged in warp-index order,
-// which reproduces the sequential fold bit for bit — modeled counters and
-// durations are identical whichever path ran. CUSIM_SEQUENTIAL=1 (or
-// set_parallel(false), or LaunchCfg::sequential for kernels whose functional
-// simulation depends on cross-block execution order) forces the sequential
-// sweep.
+// Host execution model: a launch sweeps its grid on the calling thread,
+// block after block, thread after thread. Host parallelism sits one level
+// up, on the signals of a batch: a plan runs each signal's whole kernel
+// sequence on a *lane* — a worker of the device's pool (pool()) that owns
+// the signal's buffers and a Lane (warp tracer, accumulator). While a
+// thread holds a LaneScope, every call it makes on the device goes into
+// that signal's DeviceLog instead of the device; once the lanes finish, the
+// owning thread apply()s the logs in signal order. Timeline items, event
+// ids, phase annotations, report() and the captured-graph accounting are
+// therefore the serial program's whatever the lane count: launch records
+// are read-only while lanes run, and a launch a lane traced only because
+// an earlier signal had not recorded it yet counts, when applied, as the
+// replay the serial program made (its counters checked equal to the
+// record).
 #pragma once
 
 #include <algorithm>
@@ -61,11 +66,6 @@ struct LaunchCfg {
   std::size_t blocks = 1;
   std::size_t threads_per_block = 256;
   StreamId stream = 0;
-  /// Kernels whose *functional simulation* relies on blocks executing in
-  /// order (closure-state shared histograms, floating-point atomics whose
-  /// rounding must stay deterministic) set this to opt out of the
-  /// block-parallel host path. Modeled time is unaffected either way.
-  bool sequential = false;
 
   /// Opt-in captured-graph replay. The first launch of a given
   /// (graph domain, name, graph_key, blocks, threads_per_block) tuple runs
@@ -144,7 +144,78 @@ struct LaunchGraph {
   Stats stats;
 };
 
+/// Host state of one signal lane: a warp tracer and accumulator of its
+/// own, plus the launch records the lane traced itself (records are
+/// read-only while lanes run, so without these a lane would re-trace every
+/// repeat of a launch it already traced). Owned by the plan running the
+/// lane; see Device::LaneScope.
+class Lane {
+ private:
+  friend class Device;
+  KernelAccum accum_;
+  std::map<LaunchGraph::Key, LaunchRecord> traced_;
+  const void* device_ = nullptr;  // device and graph epoch traced_ is for
+  u64 epoch_ = 0;
+};
+
+/// One signal's device calls, made on a lane and applied in program order
+/// by Device::apply. Event ids the lane was handed resolve to the device's
+/// ids through event_id() once the log is applied.
+class DeviceLog {
+ public:
+  /// The device's id for `id`: an id a lane was handed, an imported one
+  /// (Device::imported_event), or a plain device id (returned as is).
+  std::size_t event_id(std::size_t id) const;
+
+ private:
+  friend class Device;
+  /// Tags of the event ids a lane hands out and of imported ones.
+  static constexpr std::size_t kLaneEvent = std::size_t{1} << 62;
+  static constexpr std::size_t kImportedEvent = std::size_t{1} << 61;
+  enum class Op : unsigned char {
+    kKernel, kCopy, kBarrier, kEvent, kWait, kPhase, kClosePhase, kDomain
+  };
+  /// How a cacheable kernel met the launch graph on its lane.
+  enum class Graph : unsigned char { kNone, kTraced, kReplayed };
+  struct Entry {
+    Op op;
+    Graph graph = Graph::kNone;
+    bool scoped = false;         // stream-scoped event or phase
+    StreamId stream = 0;
+    const char* name = nullptr;  // kernel or copy name
+    std::size_t blocks = 0, threads_per_block = 0;
+    double amount = 0;           // kernel flops, copy bytes
+    std::size_t event = 0;       // kWait / kClosePhase target
+    u64 salt = 0, graph_key = 0;  // kernel graph key; kDomain: the salt
+    LaunchRecord rec;            // kernel counters (or the replayed record)
+    std::string phase;           // kPhase name
+  };
+  void clear() {
+    entries_.clear();
+    events_.clear();
+    lane_events_ = 0;
+  }
+
+  std::vector<Entry> entries_;
+  std::size_t lane_events_ = 0;      // event ids handed out on the lane
+  std::vector<std::size_t> events_;  // their device ids, once applied
+  std::vector<std::size_t> imports_;
+  LaunchArena::Stats arena_;         // the lane's tracer arena footprint
+};
+
 class Device {
+  /// The lane the calling thread runs on a device (see LaneScope).
+  struct Binding {
+    Device* dev;
+    Lane* lane;
+    DeviceLog* log;
+    u64 salt;  // the lane's graph domain
+  };
+  static Binding*& this_thread_binding() {
+    static thread_local Binding* b = nullptr;
+    return b;
+  }
+
  public:
   explicit Device(perfmodel::GpuSpec spec = perfmodel::GpuSpec::k20x());
 
@@ -169,14 +240,20 @@ class Device {
   /// dropped.
   void set_max_traced_warps(u64 v) {
     max_traced_warps_ = std::max<u64>(1, v);
-    graph_.records.clear();
+    clear_graph_cache();
   }
 
   /// Namespaces the captured launch graph: records taken under one salt are
   /// invisible under another. Plans hash their parameters/permutations into
   /// the salt, so a plan with different params never replays another plan's
   /// records even when kernel names and shapes coincide.
-  void set_graph_domain(u64 salt) { graph_salt_ = salt; }
+  void set_graph_domain(u64 salt) {
+    if (DeviceLog::Entry* e = logged(DeviceLog::Op::kDomain)) {
+      e->salt = bound()->salt = salt;
+      return;
+    }
+    graph_salt_ = salt;
+  }
 
   /// Replay mode override for tests (the constructor reads CUSFFT_GRAPH).
   void set_graph_mode(GraphMode m) { graph_mode_ = m; }
@@ -184,62 +261,97 @@ class Device {
 
   /// Drops every captured record (explicit invalidation — use when modeled
   /// behavior outside the key changes).
-  void clear_graph_cache() { graph_.records.clear(); }
+  void clear_graph_cache() {
+    graph_.records.clear();
+    ++graph_epoch_;
+  }
   const LaunchGraph::Stats& graph_stats() const { return graph_.stats; }
 
-  /// Host-parallel functional execution toggle (default: on unless the
-  /// CUSIM_SEQUENTIAL environment variable is set). Both paths produce
-  /// bit-identical buffers, counters, and modeled times.
-  void set_parallel(bool on) { parallel_ = on; }
-  bool parallel() const { return parallel_; }
-
-  /// Grids smaller than this many threads stay on the sequential sweep
-  /// (pool dispatch would cost more than it saves).
-  void set_min_parallel_threads(std::size_t v) { min_parallel_threads_ = v; }
-
-  /// Pins block-parallel launches to a private ThreadPool instead of
-  /// ThreadPool::global(). Required whenever several Devices execute from
-  /// different host threads (DeviceGroup): the global pool's task slots are
-  /// single-submitter. nullptr (with the flag set) forces the sequential
-  /// sweep. The caller keeps ownership; results are bit-identical either way.
-  void set_pool(ThreadPool* pool) {
-    pool_ = pool;
-    own_pool_only_ = true;
+  /// The pool whose workers run this device's signal lanes: a private
+  /// team (DeviceGroup gives each of its devices one when N > 1, so the
+  /// shards' lanes do not queue behind each other), or
+  /// ThreadPool::global() when none is set. A pool already busy with
+  /// another caller runs the batch on one lane instead; results are
+  /// bit-identical at every lane count. The caller keeps ownership.
+  void set_pool(ThreadPool* pool) { pool_ = pool; }
+  ThreadPool& pool() const {
+    return pool_ != nullptr ? *pool_ : ThreadPool::global();
   }
 
-  /// Launches `body(ThreadCtx&)` for every thread in the grid. Functional
-  /// execution is immediate — sequential or block-parallel on the host
-  /// ThreadPool (see the header comment); the modeled duration is queued on
-  /// the timeline under cfg.stream either way. Launches marked
-  /// LaunchCfg::cacheable may skip warp tracing by replaying a captured
-  /// record (the functional sweep always runs; outputs are bit-exact on
-  /// every path).
+  /// Makes the calling thread run `lane` of this device until the scope
+  /// ends: every call it makes on the device (kernel launches, copies,
+  /// barriers, events, stream waits, phase marks, the graph-domain switch)
+  /// goes into `log` instead, and device buffers it creates come from
+  /// BufferPool::lanes(). Event ids it is handed are the log's own. Launch
+  /// records and the device's settings are only read, so any number of
+  /// lanes may run at once.
+  class LaneScope {
+   public:
+    LaneScope(Device& dev, Lane& lane, DeviceLog& log);
+    ~LaneScope();
+    LaneScope(const LaneScope&) = delete;
+    LaneScope& operator=(const LaneScope&) = delete;
+
+   private:
+    Binding binding_;
+    Binding* prev_;
+    BufferPool::PoolScope pool_;
+  };
+
+  /// Stand-in for imports[i] of the apply() call: how a lane waits on an
+  /// event of an earlier signal, which has no device id while lanes run.
+  static std::size_t imported_event(std::size_t i) {
+    return DeviceLog::kImportedEvent | i;
+  }
+
+  /// Replays a lane's log on the device, in order, as if its calls had
+  /// been made here (owning thread only, no lane running). Cacheable
+  /// launches meet the launch graph now: the first in program order
+  /// records; a later one the lane traced anyway counts as a replay, and
+  /// its counters must equal the record (std::runtime_error otherwise, like
+  /// GraphMode::kVerify). An exception leaves the entries before it
+  /// applied, as the serial program would have.
+  void apply(DeviceLog& log, std::span<const std::size_t> imports = {});
+
+  /// Launches `body(ThreadCtx&)` for every thread in the grid, sweeping
+  /// blocks in order on the calling thread. The modeled duration is queued
+  /// on the timeline under cfg.stream (or logged, on a lane). Launches
+  /// marked LaunchCfg::cacheable may skip warp tracing by replaying a
+  /// captured record (the functional sweep always runs; outputs are
+  /// bit-exact on every path).
   template <typename F>
   void launch(const LaunchCfg& cfg, F&& body) {
-    if (cfg.cacheable && graph_mode_ != GraphMode::kOff) {
-      const LaunchGraph::Key key{graph_salt_,
-                                 static_cast<const void*>(cfg.name),
-                                 cfg.graph_key, cfg.blocks,
-                                 cfg.threads_per_block};
-      const auto it = graph_.records.find(key);
-      if (it != graph_.records.end() && graph_mode_ == GraphMode::kOn) {
-        const double flops = replay_sweep(cfg, body);
-        finish_replay(cfg, flops, it->second);
-        ++graph_.stats.replays;
-        return;
+    Binding* b = bound();
+    DeviceLog::Entry e;
+    e.op = DeviceLog::Op::kKernel;
+    e.stream = cfg.stream;
+    e.name = cfg.name;
+    e.blocks = cfg.blocks;
+    e.threads_per_block = cfg.threads_per_block;
+    e.salt = b != nullptr ? b->salt : graph_salt_;
+    e.graph_key = cfg.graph_key;
+    const bool graphed = cfg.cacheable && graph_mode_ != GraphMode::kOff;
+    const LaunchRecord* rec =
+        graphed && graph_mode_ == GraphMode::kOn ? find_record(e, b) : nullptr;
+    if (rec != nullptr) {
+      e.amount = replay_sweep(cfg, body);
+      e.graph = DeviceLog::Graph::kReplayed;
+      e.rec = *rec;
+    } else {
+      KernelAccum& acc = b != nullptr ? b->lane->accum_ : accum_;
+      e.amount = traced_sweep(acc, cfg, body);
+      e.rec.totals = acc.scaled_totals();
+      e.rec.max_atomic_conflict = acc.max_atomic_conflict();
+      if (graphed) {
+        e.graph = DeviceLog::Graph::kTraced;
+        if (b != nullptr && graph_mode_ == GraphMode::kOn)
+          b->lane->traced_.emplace(key_of(e), e.rec);
       }
-      const double flops = traced_sweep(cfg, body);
-      if (it != graph_.records.end()) {  // kVerify hit: cross-check
-        verify_replay_record(cfg, it->second);
-        ++graph_.stats.verified;
-      } else {
-        graph_.records.emplace(key, record_from_accum());
-        ++graph_.stats.records;
-      }
-      finish_launch(cfg, flops);
-      return;
     }
-    finish_launch(cfg, traced_sweep(cfg, body));
+    if (b != nullptr)
+      b->log->entries_.push_back(std::move(e));
+    else
+      apply_kernel(e);
   }
 
   /// Host-to-device copy: functional copy plus a PCIe timeline entry.
@@ -248,7 +360,7 @@ class Device {
     if (src.size() != dst.size())
       throw std::invalid_argument("cusim upload: size mismatch");
     std::copy(src.begin(), src.end(), dst.host().begin());
-    submit_copy("h2d", src.size() * sizeof(T), s);
+    note_transfer("h2d", static_cast<double>(src.size() * sizeof(T)), s);
   }
 
   /// Device-to-host copy.
@@ -257,7 +369,7 @@ class Device {
     if (src.size() != dst.size())
       throw std::invalid_argument("cusim download: size mismatch");
     std::copy(src.host().begin(), src.host().end(), dst.begin());
-    submit_copy("d2h", dst.size() * sizeof(T), s);
+    note_transfer("d2h", static_cast<double>(dst.size() * sizeof(T)), s);
   }
 
   /// Models a PCIe transfer of `bytes` without moving data — for partial
@@ -265,27 +377,37 @@ class Device {
   /// prefix of a capacity-sized result buffer). The caller moves the bytes
   /// itself via host().
   void note_transfer(const char* name, double bytes, StreamId s = 0) {
+    if (DeviceLog::Entry* e = logged(DeviceLog::Op::kCopy, s)) {
+      e->name = name;
+      e->amount = bytes;
+      return;
+    }
     submit_copy(name, bytes, s);
   }
 
   /// Device-wide synchronization point in the modeled timeline
   /// (cudaDeviceSynchronize): later submissions wait for everything so far.
   /// Functional execution is eager, so this affects only modeled time.
-  void sync_point() { timeline_.barrier(); }
+  void sync_point() {
+    if (logged(DeviceLog::Op::kBarrier) == nullptr) timeline_.barrier();
+  }
 
   /// cudaEvent-style marker in the modeled timeline. Query with
   /// event_time_ms() after elapsed_model_ms().
-  std::size_t record_event() { return timeline_.record_event(); }
+  std::size_t record_event() { return mark(nullptr, false, 0); }
 
   /// Stream-scoped event (cudaEventRecord on a stream): completes when
   /// every item submitted to `s` so far has finished. Same id space as
   /// record_event().
-  std::size_t record_event(StreamId s) { return timeline_.record_event(s); }
+  std::size_t record_event(StreamId s) { return mark(nullptr, true, s); }
 
   /// cudaStreamWaitEvent: later submissions on `s` wait for `event_id` —
   /// the cross-stream dependency edge the pipelined batch path is built on.
   void wait_event(StreamId s, std::size_t event_id) {
-    timeline_.wait_event(s, event_id);
+    if (DeviceLog::Entry* e = logged(DeviceLog::Op::kWait, s))
+      e->event = event_id;
+    else
+      timeline_.wait_event(s, event_id);
   }
 
   double event_time_ms(std::size_t event_id) {
@@ -297,26 +419,14 @@ class Device {
   /// so captures export per-phase spans (profiler.hpp). Returns the event
   /// id (usable with event_time_ms like a plain record_event()).
   std::size_t annotate_phase(std::string name) {
-    const std::size_t ev = timeline_.record_event();
-    PhaseAnnotation a;
-    a.name = std::move(name);
-    a.event_id = ev;
-    phases_.push_back(std::move(a));
-    return ev;
+    return mark(&name, false, 0);
   }
 
   /// Stream-scoped phase boundary: the phase tracks one stream's work, so
   /// overlapping signals of a pipelined batch keep separate, coherent
   /// phase spans (one phase track per home stream in the trace).
   std::size_t annotate_phase(std::string name, StreamId s) {
-    const std::size_t ev = timeline_.record_event(s);
-    PhaseAnnotation a;
-    a.name = std::move(name);
-    a.event_id = ev;
-    a.stream = s;
-    a.scoped = true;
-    phases_.push_back(std::move(a));
-    return ev;
+    return mark(&name, true, s);
   }
 
   /// Closes the most recent scoped phase on `s` at `end_event` instead of
@@ -324,6 +434,10 @@ class Device {
   /// so its final phase does not absorb the idle gap before the stream's
   /// next signal.
   void close_phase(StreamId s, std::size_t end_event) {
+    if (DeviceLog::Entry* e = logged(DeviceLog::Op::kClosePhase, s)) {
+      e->event = end_event;
+      return;
+    }
     for (auto it = phases_.rbegin(); it != phases_.rend(); ++it)
       if (it->scoped && it->stream == s) {
         it->end_event = static_cast<std::ptrdiff_t>(end_event);
@@ -372,145 +486,112 @@ class Device {
   }
 
  private:
-  /// Picks the pool for this launch, or nullptr for the sequential sweep.
-  ThreadPool* launch_pool(const LaunchCfg& cfg) const;
+  Binding* bound() {
+    Binding* b = this_thread_binding();
+    return b != nullptr && b->dev == this ? b : nullptr;
+  }
+  /// A fresh entry of the calling thread's log when it runs a lane of this
+  /// device (the call is logged), else nullptr (the call applies here).
+  DeviceLog::Entry* logged(DeviceLog::Op op, StreamId s = 0) {
+    Binding* b = bound();
+    if (b == nullptr) return nullptr;
+    DeviceLog::Entry& e = b->log->entries_.emplace_back();
+    e.op = op;
+    e.stream = s;
+    return &e;
+  }
 
-  /// Full functional sweep with warp tracing into accum_. Returns the
-  /// grid's self-reported flops. One worker sweeps a contiguous block
-  /// range, tracing into its own accumulator; threads of a block run
-  /// consecutively on one worker, preserving the intra-block ordering
-  /// kernels may rely on.
+  static LaunchGraph::Key key_of(const DeviceLog::Entry& e) {
+    return {e.salt, static_cast<const void*>(e.name), e.graph_key, e.blocks,
+            e.threads_per_block};
+  }
+  /// The record a launch may replay: the device's, or one its lane traced.
+  const LaunchRecord* find_record(const DeviceLog::Entry& e, Binding* b);
+
+  /// Records an event (and the phase `name`, when set) — or logs it and
+  /// hands out a lane event id.
+  std::size_t mark(std::string* name, bool scoped, StreamId s);
+
+  /// Functional sweep with warp tracing into `acc`. Returns the grid's
+  /// self-reported flops. Threads of a block run consecutively, blocks in
+  /// order, preserving the intra-block ordering kernels may rely on.
   template <typename F>
-  double traced_sweep(const LaunchCfg& cfg, F&& body) {
+  double traced_sweep(KernelAccum& acc, const LaunchCfg& cfg, F&& body) {
     const std::size_t warp = spec().warp_size;
     const std::size_t warps_per_block =
         (cfg.threads_per_block + warp - 1) / warp;
     const u64 total_warps = static_cast<u64>(cfg.blocks) * warps_per_block;
     const u64 stride = std::max<u64>(1, total_warps / max_traced_warps_);
-    accum_.reset(spec().mem_transaction_bytes, stride);
+    acc.reset(spec().mem_transaction_bytes, stride);
 
-    auto run_blocks = [&](KernelAccum& acc, ThreadCtx& ctx, std::size_t b0,
-                          std::size_t b1) {
-      ctx.block_dim = static_cast<u32>(cfg.threads_per_block);
-      ctx.grid_dim = cfg.blocks;
-      for (std::size_t b = b0; b < b1; ++b) {
-        ctx.block_idx = static_cast<u32>(b);
-        u64 warp_index = static_cast<u64>(b) * warps_per_block;
-        for (std::size_t w0 = 0; w0 < cfg.threads_per_block;
-             w0 += warp, ++warp_index) {
-          const bool traced = (warp_index % stride) == 0;
-          if (traced) acc.tracer().clear();
-          ctx.attach_trace(traced ? &acc.tracer() : nullptr, &acc);
-          const std::size_t hi = std::min(cfg.threads_per_block, w0 + warp);
-          for (std::size_t tiid = w0; tiid < hi; ++tiid) {
-            ctx.begin_thread(static_cast<u32>(tiid));
-            body(ctx);
-          }
-          if (traced) acc.fold_warp(warp_index);
+    ThreadCtx ctx;
+    ctx.block_dim = static_cast<u32>(cfg.threads_per_block);
+    ctx.grid_dim = cfg.blocks;
+    u64 warp_index = 0;
+    for (std::size_t b = 0; b < cfg.blocks; ++b) {
+      ctx.block_idx = static_cast<u32>(b);
+      for (std::size_t w0 = 0; w0 < cfg.threads_per_block;
+           w0 += warp, ++warp_index) {
+        const bool traced = (warp_index % stride) == 0;
+        if (traced) acc.tracer().clear();
+        ctx.attach_trace(traced ? &acc.tracer() : nullptr, &acc);
+        const std::size_t hi = std::min(cfg.threads_per_block, w0 + warp);
+        for (std::size_t tiid = w0; tiid < hi; ++tiid) {
+          ctx.begin_thread(static_cast<u32>(tiid));
+          body(ctx);
         }
+        if (traced) acc.fold_warp();
       }
-    };
-
-    ThreadPool* pool = launch_pool(cfg);
-    if (pool == nullptr) {
-      ThreadCtx ctx;
-      run_blocks(accum_, ctx, 0, cfg.blocks);
-      return ctx.flops();
     }
-    const std::size_t slots = pool->size();
-    if (worker_accums_.size() < slots) worker_accums_.resize(slots);
-    if (worker_ctxs_.size() < slots) worker_ctxs_.resize(slots);
-    for (std::size_t s = 0; s < slots; ++s) {
-      worker_accums_[s].reset(spec().mem_transaction_bytes, stride);
-      worker_ctxs_[s].reset_flops();
-    }
-    pool->parallel_for_indexed(
-        cfg.blocks, [&](std::size_t slot, std::size_t b0, std::size_t b1) {
-          run_blocks(worker_accums_[slot], worker_ctxs_[slot], b0, b1);
-        });
-    double flops = 0;
-    for (std::size_t s = 0; s < slots; ++s) {
-      accum_.absorb(worker_accums_[s]);
-      flops += worker_ctxs_[s].flops();  // integer-valued: order-independent
-    }
-    return flops;
+    return ctx.flops();
   }
 
   /// Lean functional sweep for graph replay: no tracer is attached, so the
-  /// per-access hooks reduce to a slot increment. Same parallel/sequential
-  /// decision as the traced sweep (launch_pool), so functional outputs —
-  /// including any ordering-sensitive accumulations — are bit-identical to
-  /// a traced run. Returns the grid's self-reported flops.
+  /// per-access hooks reduce to a slot increment. Same block and thread
+  /// order as the traced sweep, so functional outputs — including any
+  /// ordering-sensitive accumulations — are bit-identical to a traced run.
+  /// Returns the grid's self-reported flops.
   template <typename F>
   double replay_sweep(const LaunchCfg& cfg, F&& body) {
-    const std::size_t warp = spec().warp_size;
-    auto run_blocks = [&](ThreadCtx& ctx, std::size_t b0, std::size_t b1) {
-      ctx.block_dim = static_cast<u32>(cfg.threads_per_block);
-      ctx.grid_dim = cfg.blocks;
-      ctx.attach_trace(nullptr, nullptr);
-      for (std::size_t b = b0; b < b1; ++b) {
-        ctx.block_idx = static_cast<u32>(b);
-        for (std::size_t w0 = 0; w0 < cfg.threads_per_block; w0 += warp) {
-          const std::size_t hi = std::min(cfg.threads_per_block, w0 + warp);
-          for (std::size_t tiid = w0; tiid < hi; ++tiid) {
-            ctx.begin_thread(static_cast<u32>(tiid));
-            body(ctx);
-          }
-        }
+    ThreadCtx ctx;
+    ctx.block_dim = static_cast<u32>(cfg.threads_per_block);
+    ctx.grid_dim = cfg.blocks;
+    ctx.attach_trace(nullptr, nullptr);
+    for (std::size_t b = 0; b < cfg.blocks; ++b) {
+      ctx.block_idx = static_cast<u32>(b);
+      for (std::size_t tiid = 0; tiid < cfg.threads_per_block; ++tiid) {
+        ctx.begin_thread(static_cast<u32>(tiid));
+        body(ctx);
       }
-    };
-
-    ThreadPool* pool = launch_pool(cfg);
-    if (pool == nullptr) {
-      ThreadCtx ctx;
-      run_blocks(ctx, 0, cfg.blocks);
-      return ctx.flops();
     }
-    const std::size_t slots = pool->size();
-    if (worker_ctxs_.size() < slots) worker_ctxs_.resize(slots);
-    for (std::size_t s = 0; s < slots; ++s) worker_ctxs_[s].reset_flops();
-    pool->parallel_for_indexed(
-        cfg.blocks, [&](std::size_t slot, std::size_t b0, std::size_t b1) {
-          run_blocks(worker_ctxs_[slot], b0, b1);
-        });
-    double flops = 0;
-    for (std::size_t s = 0; s < slots; ++s) flops += worker_ctxs_[s].flops();
-    return flops;
+    return ctx.flops();
   }
 
-  void finish_launch(const LaunchCfg& cfg, double flops);
-  /// finish_launch for a replayed launch: counters come from the record
-  /// instead of accum_ (flops are live from the functional sweep).
-  void finish_replay(const LaunchCfg& cfg, double flops,
-                     const LaunchRecord& rec);
-  /// Exact comparison of accum_'s fresh counters against a record; throws
-  /// std::runtime_error naming the kernel on any mismatch (kVerify mode).
-  void verify_replay_record(const LaunchCfg& cfg, const LaunchRecord& rec);
-  LaunchRecord record_from_accum();
+  /// Meets the launch graph (records, replays, verifies) and submits the
+  /// kernel item — immediately for a direct launch, from apply() for a
+  /// lane's. Throws std::runtime_error naming the kernel when traced
+  /// counters diverge from the record of a cacheable launch.
+  void apply_kernel(const DeviceLog::Entry& e);
   /// Shared tail of every launch: costs the counters, queues the timeline
   /// item, folds the per-kernel report.
-  void submit_kernel_item(const LaunchCfg& cfg, double flops,
-                          const WarpTotals& t, double max_conflict);
+  void submit_kernel_item(const DeviceLog::Entry& e, const LaunchRecord& r);
   void submit_copy(const char* name, double bytes, StreamId s);
 
   perfmodel::GpuModel model_;
   Timeline timeline_;
-  KernelAccum accum_;
-  std::vector<KernelAccum> worker_accums_;  // reused across launches
-  std::vector<ThreadCtx> worker_ctxs_;      // reused across launches
+  KernelAccum accum_;  // direct (lane-less) launches
+  LaunchArena::Stats lane_arena_;  // largest lane tracer arena applied
   LaunchGraph graph_;
   LaunchGraph::Stats graph_pushed_;  // already published to the registry
   u64 graph_salt_ = 0;
+  u64 graph_epoch_ = 0;  // bumped whenever records are dropped
   GraphMode graph_mode_ = GraphMode::kOn;
   std::map<std::string, KernelReport> report_;
   std::vector<PhaseAnnotation> phases_;
   BufferPool::Stats pool_at_capture_;
   StreamId next_stream_ = 1;
   u64 max_traced_warps_ = 4096;
-  bool parallel_ = true;
-  std::size_t min_parallel_threads_ = 1024;
-  ThreadPool* pool_ = nullptr;   // set_pool override (not owned)
-  bool own_pool_only_ = false;   // true once set_pool was called
+  ThreadPool* pool_ = nullptr;  // set_pool team (not owned)
 };
 
 }  // namespace cusfft::cusim

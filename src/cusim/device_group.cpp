@@ -17,8 +17,9 @@ DeviceGroup::DeviceGroup(std::vector<perfmodel::GpuSpec> specs) {
     PerDevice pd;
     pd.dev = std::make_unique<Device>(spec);
     if (n > 1) {
-      // Private team per device: the global pool's task slots assume a
-      // single submitting thread, and shards submit from N host threads.
+      // Private team per device: shards submit their lanes from N host
+      // threads at once, and a shared pool would run all but one of them
+      // on a single lane.
       pd.pool = std::make_unique<ThreadPool>(team);
       pd.dev->set_pool(pd.pool.get());
     }

@@ -1,7 +1,7 @@
 // A fleet of simulated GPUs behind one host. Each Device keeps its own
 // timeline, buffers, and (for N > 1) a private host ThreadPool sized
 // global_threads/N, so N shards execute functionally in parallel from N
-// host threads without sharing the single-submitter global pool.
+// host threads, each running its batch's signal lanes on its own team.
 //
 // The merged simulation is the timeline event loop (timeline.hpp) run
 // over every device's captured timeline on one clock: device-side

@@ -43,8 +43,8 @@ namespace cusfft::cusim {
 namespace metrics_detail {
 
 /// Shard count for all sharded instruments (power of two). Eight cells is
-/// enough to keep the fleet's shard threads (one per device) plus the
-/// block-parallel pool workers off each other's cache lines.
+/// enough to keep the fleet's shard threads (one per device) plus their
+/// lane workers off each other's cache lines.
 inline constexpr std::size_t kShards = 8;
 
 /// This thread's shard slot: threads are assigned round-robin on first

@@ -8,17 +8,24 @@
 namespace cusfft::cusim {
 
 namespace {
+thread_local unsigned t_lane = 0;
+thread_local BufferPool* t_pool = nullptr;  // null: global()
+}  // namespace
+
 /// Process-wide simulated device address space; allocations are 256-byte
 /// aligned like cudaMalloc's guarantees, with a 256-byte guard gap so
 /// distinct ranges never share a 128-byte coalescing segment.
-u64 allocate_device_range(u64 bytes) {
+u64 reserve_device_range(u64 bytes) {
   static std::atomic<u64> next{1u << 20};
   const u64 aligned = (bytes + 255) & ~u64{255};
   return next.fetch_add(aligned + 256);
 }
 
-thread_local unsigned t_lane = 0;
-}  // namespace
+BufferPool::PoolScope::PoolScope(BufferPool& pool) : prev_(t_pool) {
+  t_pool = &pool;
+}
+
+BufferPool::PoolScope::~PoolScope() { t_pool = prev_; }
 
 BufferPool::LaneScope::LaneScope(unsigned lane) : prev_(t_lane) {
   t_lane = lane;
@@ -58,7 +65,7 @@ BufferPool::Block BufferPool::acquire(std::size_t bytes) {
   Block b;
   b.cap = cap;
   b.bytes.assign(cap, std::byte{0});
-  b.base = allocate_device_range(cap);
+  b.base = reserve_device_range(cap);
   b.lane = t_lane;
   return b;
 }
@@ -122,6 +129,19 @@ BufferPool& BufferPool::global() {
     return p;
   }();
   return *pool;
+}
+
+BufferPool& BufferPool::lanes() {
+  static BufferPool* pool = [] {
+    auto* p = new BufferPool();
+    p->set_enabled(false);
+    return p;
+  }();
+  return *pool;
+}
+
+BufferPool& BufferPool::current() {
+  return t_pool != nullptr ? *t_pool : global();
 }
 
 }  // namespace cusfft::cusim

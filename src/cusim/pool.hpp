@@ -18,6 +18,16 @@
 // run on their own lane, so which parked blocks a shard reuses — and the
 // allocation/reuse split its capture reports — never depends on how the
 // shard threads interleave.
+//
+// Two process-wide pools: global(), whose stats captures report, and
+// lanes(), which backs everything a batch's signal lanes allocate (the
+// extra lanes' buffer sets, and scratch a kernel sequence acquires while
+// it runs on a lane). Keeping lane memory off global() makes a capture's
+// pool delta the same at every lane count. lanes() never parks: lane
+// memory is freed with its lane, so a process that builds plan after plan
+// (one-shot jobs of many shapes) keeps no lane-count-fold free lists.
+// DeviceBuffer allocates from the calling thread's current pool (global()
+// unless a PoolScope is live) and releases to the pool it came from.
 #pragma once
 
 #include <atomic>
@@ -30,6 +40,11 @@
 #include "core/types.hpp"
 
 namespace cusfft::cusim {
+
+/// Reserves a fresh simulated device address range of `bytes` (256-byte
+/// aligned, with a guard gap) without host storage — for views that read
+/// memory the caller owns.
+u64 reserve_device_range(u64 bytes);
 
 class BufferPool {
  public:
@@ -54,6 +69,19 @@ class BufferPool {
 
    private:
     unsigned prev_;
+  };
+
+  /// Makes `pool` the calling thread's current pool for the scope's
+  /// lifetime (restoring the previous one on exit).
+  class PoolScope {
+   public:
+    explicit PoolScope(BufferPool& pool);
+    ~PoolScope();
+    PoolScope(const PoolScope&) = delete;
+    PoolScope& operator=(const PoolScope&) = delete;
+
+   private:
+    BufferPool* prev_;
   };
 
   struct Stats {
@@ -98,8 +126,13 @@ class BufferPool {
   void set_enabled(bool on);
   void set_max_pooled_bytes(u64 bytes);
 
-  /// Process-wide pool used by DeviceBuffer (created on first use).
+  /// Process-wide pool whose stats captures report (created on first use).
   static BufferPool& global();
+  /// Process-wide, never-parking pool for signal-lane memory (see the
+  /// file comment).
+  static BufferPool& lanes();
+  /// The calling thread's current pool: global() unless a PoolScope is live.
+  static BufferPool& current();
 
  private:
   mutable std::mutex mu_;

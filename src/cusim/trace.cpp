@@ -125,15 +125,20 @@ u64 WarpTracer::distinct_segments(const Access* a, const Access* e,
 void KernelAccum::reset(std::size_t transaction_bytes, u64 sample_stride) {
   arena_.reset();
   tracer_.reset(transaction_bytes, &arena_);
-  warps_.reset(&arena_);
+  totals_ = WarpTotals{};
   for (const u32 i : conflict_used_) conflicts_[i].count = 0;
   conflict_used_.clear();
   conflict_max_ = 0;
   stride_ = std::max<u64>(1, sample_stride);
 }
 
-void KernelAccum::fold_warp(u64 warp_index) {
-  warps_.push_back({warp_index, tracer_.finalize()});
+void KernelAccum::fold_warp() {
+  const WarpTotals t = tracer_.finalize();
+  totals_.coalesced_tx += t.coalesced_tx;
+  totals_.random_tx += t.random_tx;
+  totals_.useful_bytes += t.useful_bytes;
+  totals_.atomic_ops += t.atomic_ops;
+  totals_.shared_accesses += t.shared_accesses;
 }
 
 void KernelAccum::add_conflicts(u64 addr, u32 count) {
@@ -161,29 +166,8 @@ void KernelAccum::grow_conflicts() {
   for (const u32 i : used) add_conflicts(old[i].addr, old[i].count);
 }
 
-void KernelAccum::absorb(KernelAccum& other) {
-  warps_.append(other.warps_.begin(), other.warps_.size());
-  other.warps_.clear();
-  for (const u32 i : other.conflict_used_) {
-    Conflict& c = other.conflicts_[i];
-    add_conflicts(c.addr, c.count);
-    c.count = 0;
-  }
-  other.conflict_used_.clear();
-  other.conflict_max_ = 0;
-}
-
-WarpTotals KernelAccum::scaled_totals() {
-  std::sort(warps_.begin(), warps_.end(),
-            [](const auto& a, const auto& b) { return a.index < b.index; });
-  WarpTotals s;
-  for (const auto& [idx, t] : warps_) {
-    s.coalesced_tx += t.coalesced_tx;
-    s.random_tx += t.random_tx;
-    s.useful_bytes += t.useful_bytes;
-    s.atomic_ops += t.atomic_ops;
-    s.shared_accesses += t.shared_accesses;
-  }
+WarpTotals KernelAccum::scaled_totals() const {
+  WarpTotals s = totals_;
   const double m = static_cast<double>(stride_);
   s.coalesced_tx *= m;
   s.random_tx *= m;

@@ -77,19 +77,14 @@ class WarpTracer {
 };
 
 /// Whole-kernel accumulation across traced warps plus the kernel-wide
-/// atomic-conflict table (deepest same-address chain).
+/// atomic-conflict table (deepest same-address chain). A launch sweeps its
+/// warps in ascending order on one thread, so the running totals fold in
+/// warp-index order.
 ///
-/// Traced warps are kept as per-warp records keyed by their grid-wide warp
-/// index instead of a running sum. The block-parallel launch path gives each
-/// pool worker its own KernelAccum, absorb()s them after the grid drains,
-/// and scaled_totals() folds the records in ascending warp-index order — the
-/// exact summation order of a sequential sweep, so parallel and sequential
-/// launches produce bit-identical counters.
-///
-/// All per-launch records (trace accesses, per-warp totals) live on the
-/// accumulator's LaunchArena; reset() recycles it. The conflict table is a
-/// flat open-addressed address -> count map whose capacity survives
-/// reset(), so a warm accumulator's launches allocate nothing.
+/// All per-launch trace records live on the accumulator's LaunchArena;
+/// reset() recycles it. The conflict table is a flat open-addressed
+/// address -> count map whose capacity survives reset(), so a warm
+/// accumulator's launches allocate nothing.
 class KernelAccum {
  public:
   void reset(std::size_t transaction_bytes, u64 sample_stride);
@@ -98,30 +93,20 @@ class KernelAccum {
   u64 sample_stride() const { return stride_; }
   LaunchArena& arena() { return arena_; }
 
-  /// Finalizes the tracer into the record for grid-wide warp `warp_index`.
-  void fold_warp(u64 warp_index);
+  /// Finalizes the tracer's warp into the running totals.
+  void fold_warp();
 
   /// Records an atomic on `addr` from a traced warp (conflict accounting).
   void on_atomic_addr(u64 addr) { add_conflicts(addr, 1); }
 
-  /// Moves another accumulator's traced warps and atomic-conflict counts
-  /// into this one (used to merge per-worker accumulators; `other` is left
-  /// empty). Per-address conflict counts add, so the merge is independent of
-  /// worker interleaving.
-  void absorb(KernelAccum& other);
-
-  /// Extrapolated whole-kernel counters (multiplies by the sample stride),
-  /// folded in warp-index order.
-  WarpTotals scaled_totals();
+  /// Extrapolated whole-kernel counters (multiplies by the sample stride).
+  WarpTotals scaled_totals() const;
   double max_atomic_conflict() const;
 
  private:
-  struct WarpRecord {
-    u64 index;
-    WarpTotals totals;
-  };
-  /// One conflict-table slot; count 0 marks it empty.
-  struct Conflict {
+  /// One conflict-table slot; count 0 marks it empty. Packed to 12 bytes:
+  /// a lane keeps a table sized for its widest atomic launch.
+  struct [[gnu::packed]] Conflict {
     u64 addr;
     u32 count;
   };
@@ -130,9 +115,9 @@ class KernelAccum {
 
   LaunchArena arena_;
   WarpTracer tracer_;
-  ArenaVec<WarpRecord> warps_;
+  WarpTotals totals_;
   std::vector<Conflict> conflicts_;  // power-of-two size, <= 3/4 full
-  std::vector<u32> conflict_used_;   // occupied slots, for reset and absorb
+  std::vector<u32> conflict_used_;   // occupied slots, for reset
   u32 conflict_max_ = 0;
   u64 stride_ = 1;
 };

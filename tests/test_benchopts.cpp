@@ -320,6 +320,22 @@ TEST(BenchOptsDeathTest, UnknownFlagExits) {
               ::testing::ExitedWithCode(2), "unknown flag");
 }
 
+TEST(BenchOptsDeathTest, MalformedThreadsEnvExits) {
+  const char* prev = std::getenv("CUSFFT_THREADS");
+  const std::string saved = prev != nullptr ? prev : "";
+  for (const char* bad : {"4x", "abc", "0", "-2", "900"}) {
+    ::setenv("CUSFFT_THREADS", bad, 1);
+    const char* argv[] = {"bench"};
+    EXPECT_EXIT(BenchOpts::parse(1, const_cast<char**>(argv)),
+                ::testing::ExitedWithCode(2), "CUSFFT_THREADS")
+        << bad;
+  }
+  if (prev != nullptr)
+    ::setenv("CUSFFT_THREADS", saved.c_str(), 1);
+  else
+    ::unsetenv("CUSFFT_THREADS");
+}
+
 TEST(BenchOptsDeathTest, EmptyMetricsEnvExits) {
   ::setenv("CUSFFT_METRICS", "", 1);
   const char* argv[] = {"bench"};

@@ -171,6 +171,22 @@ INSTANTIATE_TEST_SUITE_P(
       }
     });
 
+TEST(CApiDeathTest, InvalidThreadsEnvIsInvalidArgument) {
+  // CUSFFT_THREADS sizes the pool every batch's lanes run on; a typo must
+  // not silently change the program. A fresh process, so the pool is not
+  // already created.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        ::setenv("CUSFFT_THREADS", "4x", 1);
+        cusfft_handle h = nullptr;
+        const cusfft_status st =
+            cusfft_plan(&h, 1 << 10, 4, CUSFFT_BACKEND_GPU_OPTIMIZED);
+        std::exit(st == CUSFFT_INVALID_ARGUMENT && h == nullptr ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+
 TEST(CApi, ExecuteManyMatchesExecutePerSignal) {
   constexpr std::size_t kBatch = 3;
   constexpr std::size_t kCap = 64;

@@ -21,12 +21,14 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/rng.hpp"
+#include "core/thread_pool.hpp"
 #include "cusfft/autopick.hpp"
 #include "cusfft/cluster_plan.hpp"
 #include "cusfft/multi_plan.hpp"
@@ -511,26 +513,29 @@ TEST(Cluster, PreparedPlansAreTheBackendThatRuns) {
 }
 
 TEST(Cluster, DeterministicAcrossHostLaunchPaths) {
-  // Forcing sequential functional execution on every device of every
-  // node must not change outputs or the modeled cluster makespan.
+  // Running every device's lanes on one worker or on three, on every
+  // node, must not change outputs or the modeled cluster makespan.
   const std::size_t n = 1 << 11, k = 8, batch_n = 5;
   Batch batch(batch_n, n, k, 8808);
   const sfft::Params params = make_params(n, k, 8808);
   const gpu::Options opts = gpu::Options::optimized();
 
-  auto run = [&](bool parallel) {
+  auto run = [&](std::size_t workers) {
     Cluster cluster(2, 2);
+    std::vector<std::unique_ptr<ThreadPool>> pools;
     for (std::size_t m = 0; m < cluster.nodes(); ++m)
-      for (std::size_t d = 0; d < cluster.node(m).size(); ++d)
-        cluster.node(m).device(d).set_parallel(parallel);
+      for (std::size_t d = 0; d < cluster.node(m).size(); ++d) {
+        pools.push_back(std::make_unique<ThreadPool>(workers));
+        cluster.node(m).device(d).set_pool(pools.back().get());
+      }
     gpu::ClusterPlan cplan(cluster, params, opts);
     gpu::GpuFleetStats fs;
     auto out = cplan.execute_many(batch.views, &fs);
     return std::pair{std::move(out), fs.model_ms};
   };
-  const auto [out_par, ms_par] = run(true);
-  const auto [out_seq, ms_seq] = run(false);
-  expect_identical(out_par, out_seq, "parallel vs sequential launch");
+  const auto [out_par, ms_par] = run(3);
+  const auto [out_seq, ms_seq] = run(1);
+  expect_identical(out_par, out_seq, "three lanes vs one");
   EXPECT_DOUBLE_EQ(ms_par, ms_seq);
 }
 

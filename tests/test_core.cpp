@@ -5,6 +5,8 @@
 #include <cmath>
 #include <numeric>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "core/json_lite.hpp"
 #include "core/metrics.hpp"
@@ -139,6 +141,48 @@ TEST(ThreadPool, ReusableAcrossCalls) {
     });
     ASSERT_EQ(total.load(), 97u);
   }
+}
+
+TEST(ThreadPool, ConcurrentSubmittersEachCoverTheirRangeOnce) {
+  // Four threads submit 500 calls each to one pool at once: whichever
+  // call holds the workers, every call covers its own range exactly once.
+  ThreadPool pool(4);
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> submitters;
+  for (std::size_t s = 0; s < 4; ++s)
+    submitters.emplace_back([&, s] {
+      for (std::size_t call = 0; call < 500; ++call) {
+        const std::size_t count = 1 + (call * 7 + s) % 97;
+        std::vector<std::atomic<int>> hits(count);
+        pool.parallel_for(count, [&](std::size_t b, std::size_t e) {
+          for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
+        });
+        for (const auto& h : hits) wrong += h.load() != 1 ? 1 : 0;
+      }
+    });
+  for (auto& t : submitters) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+}
+
+TEST(ThreadPool, NestedSubmissionRunsInline) {
+  // A chunk that submits to its own pool runs that range inline as slot 0
+  // instead of waiting for workers that are busy running its siblings.
+  ThreadPool pool(3);
+  std::vector<std::atomic<int>> hits(30);
+  pool.parallel_for(3, [&](std::size_t b, std::size_t e) {
+    for (std::size_t outer = b; outer < e; ++outer)
+      pool.parallel_for_indexed(
+          10, [&](std::size_t slot, std::size_t ib, std::size_t ie) {
+            EXPECT_EQ(slot, 0u);
+            for (std::size_t i = ib; i < ie; ++i)
+              hits[outer * 10 + i].fetch_add(1);
+          });
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_EQ(pool.chunks(10), 3u);
+  EXPECT_EQ(pool.chunks(5), 3u);  // chunks of 2: [0,2) [2,4) [4,5)
+  EXPECT_EQ(pool.chunks(1), 1u);
+  EXPECT_EQ(pool.chunks(0), 0u);
 }
 
 TEST(StepTimers, AccumulatesScopes) {

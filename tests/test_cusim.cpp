@@ -584,7 +584,7 @@ TEST(TraceEquivalence, WarpTotalsAndConflictsMatchReference) {
     record(tr, nullptr, recs, shared);
     expect_same_totals(tr.finalize(), want, where);
     record(acc.tracer(), &acc, recs, shared);
-    acc.fold_warp(static_cast<u64>(w));
+    acc.fold_warp();
     count_conflicts(recs, launch_conflicts);
     launch_warps.push_back(want);
     EXPECT_EQ(acc.max_atomic_conflict(),
@@ -597,44 +597,6 @@ TEST(TraceEquivalence, WarpTotalsAndConflictsMatchReference) {
   }
 }
 
-TEST(TraceEquivalence, SplitAccumulatorsAbsorbInAnyOrder) {
-  // One launch's warps (and so its atomics) spread over 1-4 per-worker
-  // accumulators, merged in a shuffled order, give the single-pass counts.
-  Rng rng(21);
-  for (int launch = 0; launch < 120; ++launch) {
-    const u64 stride = 1 + rng.next_below(3);
-    const std::size_t parts = 1 + rng.next_below(4);
-    std::vector<KernelAccum> accs(parts);
-    for (KernelAccum& a : accs) a.reset(128, stride);
-    std::map<u64, u32> conflicts;
-    std::vector<WarpTotals> want;
-    const u64 warps = 4 + rng.next_below(28);
-    for (u64 w = 0; w < warps; ++w) {
-      KernelAccum& a = accs[rng.next_below(parts)];
-      const std::vector<TraceRec> recs = random_warp(rng);
-      record(a.tracer(), &a, recs, 0);
-      a.fold_warp(w);
-      count_conflicts(recs, conflicts);
-      want.push_back(reference_totals(recs, 0));
-    }
-    std::vector<std::size_t> order(parts);
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    for (std::size_t i = parts; i > 1; --i)
-      std::swap(order[i - 1], order[rng.next_below(i)]);
-    KernelAccum merged;
-    merged.reset(128, stride);
-    for (const std::size_t i : order) merged.absorb(accs[i]);
-    const std::string where = "launch " + std::to_string(launch);
-    expect_same_totals(merged.scaled_totals(), scaled_sum(want, stride),
-                       where);
-    EXPECT_EQ(merged.max_atomic_conflict(),
-              reference_max_conflict(conflicts, stride))
-        << where;
-    for (const KernelAccum& a : accs)
-      EXPECT_EQ(a.max_atomic_conflict(), 0.0) << where;  // left empty
-  }
-}
-
 TEST(TraceEquivalence, ResetLeavesNoCountsFromTheEarlierLaunch) {
   KernelAccum acc;
   acc.reset(128, 1);
@@ -644,7 +606,7 @@ TEST(TraceEquivalence, ResetLeavesNoCountsFromTheEarlierLaunch) {
   for (int i = 0; i < 40; ++i) acc.on_atomic_addr(4096);
   acc.tracer().clear();
   acc.tracer().on_access(0, 4096, 4, true);
-  acc.fold_warp(0);
+  acc.fold_warp();
   EXPECT_EQ(acc.max_atomic_conflict(), 41.0);
 
   // Launch 2 on the same accumulator touches two of those addresses.

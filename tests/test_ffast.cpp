@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/rng.hpp"
+#include "core/thread_pool.hpp"
 #include "core/spectrum.hpp"
 #include "cusfft/autopick.hpp"
 #include "cusfft/plan.hpp"
@@ -178,14 +179,21 @@ TEST(FfastGpu, BitReproducibleAcrossRunsDevicesAndLaunchPaths) {
   const sfft::Params p = ffast_params(n, k);
   const gpu::Options opts = gpu::Options::optimized();
 
-  auto run = [&](bool parallel) {
+  // A batch of the same signal on `workers` lanes: every lane's result is
+  // bitwise the solo execute's.
+  auto run = [&](std::size_t workers) {
+    ThreadPool pool(workers);
     cusim::Device dev;
-    dev.set_parallel(parallel);  // false == the CUSIM_SEQUENTIAL=1 path
-    return gpu::GpuPlan(dev, p, opts).execute(sig.x);
+    dev.set_pool(&pool);
+    const std::vector<std::span<const cplx>> views(3, sig.x);
+    return gpu::GpuPlan(dev, p, opts).execute_many(views);
   };
-  const SparseSpectrum first = run(true);
-  expect_bitwise(first, run(true), "repeat run / fresh device");
-  expect_bitwise(first, run(false), "sequential launch path");
+  cusim::Device dev;
+  const SparseSpectrum first = gpu::GpuPlan(dev, p, opts).execute(sig.x);
+  for (const SparseSpectrum& s : run(1))
+    expect_bitwise(first, s, "repeat run / fresh device / one lane");
+  for (const SparseSpectrum& s : run(3))
+    expect_bitwise(first, s, "three lanes");
 }
 
 TEST(FfastGpu, BatchSchedulesBitIdenticalToSoloExecutes) {

@@ -27,8 +27,8 @@
 namespace cusfft {
 namespace {
 
-// Pin the pool width before anything touches ThreadPool::global() so the
-// block-parallel paths stay multi-threaded on single-core CI runners.
+// Pin the pool width before anything touches ThreadPool::global() so
+// batches run on several lanes even on single-core CI runners.
 const int kEnvGuard = [] {
   setenv("CUSFFT_THREADS", "4", /*overwrite=*/0);
   return 0;

@@ -16,10 +16,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "core/rng.hpp"
+#include "core/thread_pool.hpp"
 #include "cusfft/multi_plan.hpp"
 #include "cusfft/plan.hpp"
 #include "cusim/device.hpp"
@@ -381,7 +383,7 @@ TEST(MultiGpu, PlanCacheKeysOnAlgorithm) {
 }
 
 TEST(MultiGpu, DeterministicAcrossHostLaunchPaths) {
-  // Forcing sequential functional execution on every device must not
+  // Running every device's lanes on one worker or on three must not
   // change outputs or the modeled fleet makespan — the host thread count
   // is an execution detail, never a model input.
   const std::size_t n = 1 << 11, k = 8, batch_n = 5;
@@ -392,18 +394,21 @@ TEST(MultiGpu, DeterministicAcrossHostLaunchPaths) {
   params.seed = 909;
   const gpu::Options opts = gpu::Options::optimized();
 
-  auto run = [&](bool parallel) {
+  auto run = [&](std::size_t workers) {
     DeviceGroup group(2);
-    for (std::size_t d = 0; d < group.size(); ++d)
-      group.device(d).set_parallel(parallel);
+    std::vector<std::unique_ptr<ThreadPool>> pools;
+    for (std::size_t d = 0; d < group.size(); ++d) {
+      pools.push_back(std::make_unique<ThreadPool>(workers));
+      group.device(d).set_pool(pools.back().get());
+    }
     gpu::MultiGpuPlan mplan(group, params, opts);
     gpu::GpuFleetStats fs;
     auto out = mplan.execute_many(batch.views, &fs);
     return std::pair{std::move(out), fs.model_ms};
   };
-  const auto [out_par, ms_par] = run(true);
-  const auto [out_seq, ms_seq] = run(false);
-  expect_identical(out_par, out_seq, "parallel vs sequential launch");
+  const auto [out_par, ms_par] = run(3);
+  const auto [out_seq, ms_seq] = run(1);
+  expect_identical(out_par, out_seq, "three lanes vs one");
   EXPECT_DOUBLE_EQ(ms_par, ms_seq);
 }
 

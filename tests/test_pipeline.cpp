@@ -9,9 +9,9 @@
 //   2. the modeled timeline genuinely overlaps signal i+1's binning with
 //      signal i's estimation, stays FIFO within each stream, and beats the
 //      serialized makespan strictly;
-//   3. results and modeled times are identical whichever host launch path
-//      runs the kernels (parallel, forced-sequential, single-thread pool —
-//      CI additionally sweeps CUSIM_SEQUENTIAL/CUSFFT_THREADS env configs);
+//   3. results and modeled times are identical however many lanes run the
+//      batch (private pools of 1-3 workers; CI additionally sweeps
+//      CUSFFT_THREADS);
 //   4. GpuBatchStats::per_signal stays coherent under overlap: each
 //      signal's spans come from its own stream events and tile its window.
 // The overlap tests sweep the captured trace through the same checks CI's
@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "core/rng.hpp"
+#include "core/thread_pool.hpp"
 #include "cusfft/plan.hpp"
 #include "cusim/device.hpp"
 #include "cusim/profiler.hpp"
@@ -271,10 +272,9 @@ TEST(PipelineStats, PipelinedPerSignalSpansStayCoherent) {
 }
 
 // ---------------------------------------------------------------------------
-// 4. Determinism matrix: the host launch path must not leak into results
-//    or modeled times. CI sweeps the CUSIM_SEQUENTIAL / CUSFFT_THREADS
-//    environment configurations; in-process we pin the equivalent device
-//    knobs.
+// 4. Determinism matrix: the lane count must not leak into results or
+//    modeled times. CI sweeps CUSFFT_THREADS; in-process we pin private
+//    pools of 1 to 3 workers.
 // ---------------------------------------------------------------------------
 
 TEST(PipelineDeterminism, LaunchPathsProduceIdenticalResultsAndTimes) {
@@ -289,22 +289,22 @@ TEST(PipelineDeterminism, LaunchPathsProduceIdenticalResultsAndTimes) {
     std::vector<SparseSpectrum> out;
     gpu::GpuBatchStats stats;
   };
-  auto run_with = [&](void (*configure)(Device&)) {
+  auto run_with = [&](std::size_t workers) {
+    ThreadPool pool(workers);
     Device dev;
-    configure(dev);
+    dev.set_pool(&pool);
     gpu::GpuPlan plan(dev, p, opts);
     Run r;
     r.out = plan.execute_many(b.views, &r.stats, gpu::BatchMode::kPipelined);
     return r;
   };
 
-  const Run def = run_with(+[](Device&) {});
-  const Run seq = run_with(+[](Device& d) { d.set_parallel(false); });
-  const Run par =
-      run_with(+[](Device& d) { d.set_min_parallel_threads(1); });
+  const Run def = run_with(1);
+  const Run two = run_with(2);
+  const Run three = run_with(3);
 
-  for (const Run* other : {&seq, &par}) {
-    expect_identical(def.out, other->out, "launch-path variant");
+  for (const Run* other : {&two, &three}) {
+    expect_identical(def.out, other->out, "lane-count variant");
     // Modeled times are a function of the submitted timeline only — they
     // must match bit-for-bit, not just approximately.
     EXPECT_EQ(def.stats.model_ms, other->stats.model_ms);

@@ -47,8 +47,8 @@ using serve_test::scripted_trace;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Pin the pool width before anything touches ThreadPool::global() so the
-// block-parallel paths stay multi-threaded on single-core CI runners.
+// Pin the pool width before anything touches ThreadPool::global() so
+// batches run on several lanes even on single-core CI runners.
 const int kEnvGuard = [] {
   setenv("CUSFFT_THREADS", "4", /*overwrite=*/0);
   return 0;

@@ -1,11 +1,13 @@
 // Tests for the host execution/throughput layer: BufferPool recycling, the
-// flat-filter cache, block-parallel vs sequential launch determinism, and
-// the execute_many batch path.
+// flat-filter cache, determinism across signal-lane counts, and the
+// execute_many batch path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -19,9 +21,9 @@
 namespace cusfft {
 namespace {
 
-// Pin the pool width before anything touches ThreadPool::global() so the
-// block-parallel launch path is exercised even on single-core CI runners.
-// Runs at static-init time, before gtest_main.
+// Pin the pool width before anything touches ThreadPool::global() so
+// batches run on several lanes even on single-core CI runners. Runs at
+// static-init time, before gtest_main.
 const int kEnvGuard = [] {
   setenv("CUSFFT_THREADS", "4", /*overwrite=*/0);
   return 0;
@@ -125,17 +127,35 @@ TEST(FilterCache, RepeatedPlansShareOneFilter) {
 
 TEST(ThreadPoolEnv, GlobalRespectsCusfftThreads) {
   // kEnvGuard set CUSFFT_THREADS=4 before any global() call (unless the
-  // environment already pinned it — honor that value then). Mirror
-  // global()'s parse: non-positive or unparseable values fall back to
-  // hardware concurrency, and the width is capped at 512.
+  // environment already pinned it — honor that value then). global() is
+  // sized by the strict parse: an invalid value would have thrown.
   const char* v = std::getenv("CUSFFT_THREADS");
   ASSERT_NE(v, nullptr);
-  const long parsed = std::strtol(v, nullptr, 10);
-  if (parsed > 0) {
-    EXPECT_EQ(ThreadPool::global().size(),
-              static_cast<std::size_t>(std::min(parsed, 512L)));
+  const std::size_t want = parse_thread_count(v);
+  if (want > 0) {
+    EXPECT_EQ(ThreadPool::global().size(), want);
   } else {
     EXPECT_GE(ThreadPool::global().size(), 1u);
+  }
+}
+
+TEST(ThreadPoolEnv, ParseIsStrict) {
+  EXPECT_EQ(parse_thread_count(nullptr), 0u);  // unset: hardware width
+  EXPECT_EQ(parse_thread_count(""), 0u);
+  EXPECT_EQ(parse_thread_count("1"), 1u);
+  EXPECT_EQ(parse_thread_count("4"), 4u);
+  EXPECT_EQ(parse_thread_count("512"), 512u);
+  for (const char* bad : {"4x", "abc", "0", "-2", "900", " 4", "+4", "513",
+                          "99999999999999999999"}) {
+    try {
+      parse_thread_count(bad);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("CUSFFT_THREADS"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("'") + bad + "'"), std::string::npos)
+          << what;
+    }
   }
 }
 
@@ -224,31 +244,39 @@ TEST(GpuPlanBatch, RejectsWrongLength) {
 }
 
 TEST(Determinism, ParallelAndSequentialLaunchesAreBitIdentical) {
+  // The same batch on four lanes and on one: spectra, modeled time and
+  // every traced counter are bit-identical (logs apply in signal order).
   const sfft::Params p = small_params();
   const auto opts = gpu::Options::optimized();
-  const cvec x = test_signal(p.n, p.k, 42);
+  std::vector<cvec> xs;
+  for (u64 seed = 42; seed < 47; ++seed)
+    xs.push_back(test_signal(p.n, p.k, seed));
+  const std::vector<std::span<const cplx>> views(xs.begin(), xs.end());
 
+  ThreadPool par_pool(4), seq_pool(1);
   cusim::Device par_dev;
-  par_dev.set_min_parallel_threads(1);  // parallelize every eligible launch
+  par_dev.set_pool(&par_pool);
   gpu::GpuPlan par_plan(par_dev, p, opts);
-  gpu::GpuExecStats par_st;
-  const auto par = par_plan.execute(x, &par_st);
+  gpu::GpuBatchStats par_st;
+  const auto par = par_plan.execute_many(views, &par_st);
 
   cusim::Device seq_dev;
-  seq_dev.set_parallel(false);
+  seq_dev.set_pool(&seq_pool);
   gpu::GpuPlan seq_plan(seq_dev, p, opts);
-  gpu::GpuExecStats seq_st;
-  const auto seq = seq_plan.execute(x, &seq_st);
+  gpu::GpuBatchStats seq_st;
+  const auto seq = seq_plan.execute_many(views, &seq_st);
 
   // Spectra: bit-identical.
   ASSERT_EQ(par.size(), seq.size());
-  for (std::size_t i = 0; i < par.size(); ++i) {
-    EXPECT_EQ(par[i].loc, seq[i].loc);
-    EXPECT_EQ(par[i].val, seq[i].val);
+  for (std::size_t s = 0; s < par.size(); ++s) {
+    ASSERT_EQ(par[s].size(), seq[s].size());
+    for (std::size_t i = 0; i < par[s].size(); ++i) {
+      EXPECT_EQ(par[s][i].loc, seq[s][i].loc);
+      EXPECT_EQ(par[s][i].val, seq[s][i].val);
+    }
   }
 
-  // Modeled time and every traced counter: bit-identical (the parallel
-  // merge folds warps in the sequential order).
+  // Modeled time and every traced counter: bit-identical.
   EXPECT_EQ(par_st.model_ms, seq_st.model_ms);
   const auto& pr = par_dev.report();
   const auto& sr = seq_dev.report();
@@ -274,14 +302,39 @@ TEST(Determinism, ParallelAndSequentialLaunchesAreBitIdentical) {
 }
 
 TEST(Determinism, AtomicAddIsAtomicUnderParallelBlocks) {
-  cusim::Device dev;
-  dev.set_min_parallel_threads(1);
-  dev.begin_capture();
-  cusim::DeviceBuffer<u32> counter(1);
-  const std::size_t kThreads = 64 * 256;
-  dev.launch(cusim::LaunchCfg::for_elements("contended_inc", kThreads),
-             [&](cusim::ThreadCtx& t) { counter.atomic_add(t, 0, u32{1}); });
-  EXPECT_EQ(counter.host()[0], kThreads);
+  // Four lanes each launch a contended atomic increment on their own
+  // counter while the others run: every count is exact, and the applied
+  // report equals the one-lane run's.
+  auto run = [](std::size_t workers) {
+    ThreadPool pool(workers);
+    cusim::Device dev;
+    dev.begin_capture();
+    constexpr std::size_t kLanes = 4, kThreads = 64 * 256;
+    std::vector<cusim::Lane> lanes(kLanes);
+    std::vector<cusim::DeviceLog> logs(kLanes);
+    std::vector<cusim::DeviceBuffer<u32>> counters;
+    for (std::size_t l = 0; l < kLanes; ++l) counters.emplace_back(1);
+    pool.parallel_for_indexed(
+        kLanes, [&](std::size_t, std::size_t b, std::size_t e) {
+          for (std::size_t l = b; l < e; ++l) {
+            const cusim::Device::LaneScope scope(dev, lanes[l], logs[l]);
+            dev.launch(
+                cusim::LaunchCfg::for_elements("contended_inc", kThreads),
+                [&](cusim::ThreadCtx& t) {
+                  counters[l].atomic_add(t, 0, u32{1});
+                });
+          }
+        });
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      dev.apply(logs[l]);
+      EXPECT_EQ(counters[l].host()[0], kThreads) << "lane " << l;
+    }
+    const auto& rep = dev.report().at("contended_inc");
+    return std::pair{rep.launches, rep.counters.max_atomic_conflict};
+  };
+  const auto one = run(1);
+  EXPECT_EQ(one.first, 4u);
+  EXPECT_EQ(run(4), one);
 }
 
 }  // namespace
