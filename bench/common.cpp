@@ -47,7 +47,7 @@ namespace {
                "CUSFFT_SERVE_MAX_WAIT_MS\n"
                "     CUSFFT_SERVE_MAX_WAIT_LAT_MS "
                "CUSFFT_SERVE_QUEUE_DEPTH\n"
-               "     CUSFFT_THREADS\n";
+               "     CUSFFT_THREADS CUSFFT_GRAPH\n";
   std::exit(2);
 }
 
@@ -144,9 +144,11 @@ BenchOpts BenchOpts::parse(int argc, char** argv) {
     o.algo = parse_algo("CUSFFT_ALGO", a);
   try {
     (void)gpu::autopick_mode_from_env();
-    // The lane count of every batch: validated here so a typo is a usage
-    // error, not a throw from the first batch.
+    // The lane count of every batch and the graph replay mode of every
+    // Device: validated here so a typo is a usage error, not a throw from
+    // the first batch.
     (void)parse_thread_count(std::getenv("CUSFFT_THREADS"));
+    (void)cusim::graph_mode_from_env();
   } catch (const std::invalid_argument& e) {
     usage_exit(e.what());
   }

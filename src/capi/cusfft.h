@@ -258,7 +258,7 @@ cusfft_status cusfft_metrics_reset(void);
  * blocked), and a dynamic batcher that coalesces pending requests into
  * mixed-shape batches on a nodes x devices cluster — the same executor
  * as cusfft_plan's GPU backends (shape-keyed plan cache shared across
- * tenants). The C surface exposes the virtual-clock drive: submissions
+ * tenants). The caller drives the server's virtual clock: submissions
  * carry a nondecreasing arrival time in modeled milliseconds and
  * cusfft_server_advance/_drain launch the batches, so replays are
  * bit-reproducible. Every request terminates in exactly one of

@@ -23,9 +23,9 @@ const char* to_string(AutopickMode m) {
 }
 
 AutopickMode autopick_mode_from_env() {
-  // One getenv per resolution — latching the first value in a static made
-  // later setenv() calls silently ineffective for embedders and tests
-  // (the CUSFFT_PIPELINE lesson; see plan.cpp's resolve_batch_mode).
+  // One getenv per resolution — latching the first value in a static
+  // would make later setenv() calls silently ineffective for embedders
+  // and tests.
   const char* e = std::getenv("CUSFFT_AUTOPICK");
   if (e == nullptr || e[0] == '\0') return AutopickMode::kMeasured;
   const std::string_view v(e);

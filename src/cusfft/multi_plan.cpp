@@ -5,7 +5,6 @@
 #include <exception>
 #include <map>
 #include <numeric>
-#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -306,11 +305,6 @@ std::vector<SparseSpectrum> MultiGpuPlan::run_shards(
   std::vector<std::exception_ptr> errors(ndev);
   WallTimer wall;
   auto run_shard = [&](std::size_t d) {
-    // A multi-device shard recycles buffers on its own pool lane, so
-    // concurrent shards never race for the same parked blocks and the
-    // capture's pool delta is the same however the threads interleave.
-    std::optional<cusim::BufferPool::LaneScope> lane;
-    if (ndev > 1) lane.emplace(static_cast<unsigned>(d + 1));
     try {
       bool first = true;
       for (const Group& g : groups[d]) {

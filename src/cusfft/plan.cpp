@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <stdexcept>
@@ -1073,24 +1072,6 @@ SparseSpectrum GpuPlan::execute(std::span<const cplx> x,
   return out;
 }
 
-namespace {
-
-/// kAuto resolution: pipelined for real batches unless the environment
-/// forces serialization (CUSFFT_PIPELINE=0 — CI's determinism matrix and
-/// A/B baselines use it).
-BatchMode resolve_batch_mode(BatchMode mode, std::size_t batch) {
-  if (mode != BatchMode::kAuto) return mode;
-  // Re-read per resolution (one getenv): latching the first value in a
-  // function-local static made later setenv("CUSFFT_PIPELINE", ...) calls
-  // silently ineffective for embedders and tests.
-  const char* e = std::getenv("CUSFFT_PIPELINE");
-  const bool env_off = e != nullptr && e[0] == '0' && e[1] == '\0';
-  return (batch >= 2 && !env_off) ? BatchMode::kPipelined
-                                  : BatchMode::kSerialized;
-}
-
-}  // namespace
-
 std::vector<SparseSpectrum> GpuPlan::execute_many(
     std::span<const std::span<const cplx>> xs, GpuBatchStats* stats,
     BatchMode mode) {
@@ -1108,8 +1089,9 @@ std::vector<SparseSpectrum> GpuPlan::run_batch(
     BatchMode mode, bool fresh_capture) {
   Impl& im = *impl_;
   cusim::Device& dev = *im.dev;
-  const bool pipelined =
-      resolve_batch_mode(mode, xs.size()) == BatchMode::kPipelined;
+  // kAuto pipelines every real batch (>= 2 signals).
+  const bool pipelined = mode == BatchMode::kPipelined ||
+                         (mode == BatchMode::kAuto && xs.size() >= 2);
 
   WallTimer wall;
   // Lanes and home streams are plan state: allocate them before the

@@ -29,9 +29,7 @@ namespace cusfft::gpu {
 
 /// How execute_many() schedules the batch on the modeled device.
 enum class BatchMode {
-  kAuto,        ///< pipelined for batches of >= 2 signals, unless the
-                ///< CUSFFT_PIPELINE=0 environment override forces the
-                ///< serialized schedule
+  kAuto,        ///< pipelined for batches of >= 2 signals
   kSerialized,  ///< one signal at a time (device-wide sync between signals)
   kPipelined,   ///< stream-pipelined: signal i+1's transfer and binning
                 ///< kernels overlap signal i's cutoff/vote/estimate on the

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
@@ -12,7 +10,6 @@
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "core/rng.hpp"
@@ -158,11 +155,6 @@ struct Server::Impl {
   ServerConfig cfg;
 
   mutable std::mutex mu;
-  std::condition_variable cv_batcher;  // batcher wakeups (threaded mode)
-  std::condition_variable cv_done;     // wait(id) wakeups
-  bool running = false;
-  bool stopping = false;
-  std::thread batcher;
 
   double now = 0;          // virtual clock (ms)
   double device_free = 0;  // fleet free time on the virtual clock
@@ -193,9 +185,7 @@ struct Server::Impl {
   std::size_t n_submitted = 0, n_completed = 0, n_shed = 0, n_rejected = 0;
 
   // The cfg.nodes x cfg.devices cluster and its plan, built lazily at the
-  // first batch launch. Only the thread that launches batches touches
-  // them (the caller in virtual mode, the batcher thread in threaded
-  // mode).
+  // first batch launch.
   std::unique_ptr<cusim::Cluster> cluster;
   std::unique_ptr<gpu::ClusterPlan> plan;
 
@@ -275,7 +265,6 @@ struct Server::Impl {
       decisions.push_back("reject id=" + std::to_string(id) +
                           " tenant=" + r.tenant);
       terminal.emplace(id, std::move(resp));
-      cv_done.notify_all();
       return id;
     }
     ++d;
@@ -330,7 +319,7 @@ struct Server::Impl {
     std::vector<u64> shed_ids;
   };
 
-  void resolve_shed(const Pend& p, double t, const char* why) {
+  void resolve_shed(const Pend& p, double t) {
     ++n_shed;
     m_shed.inc();
     Response resp;
@@ -341,9 +330,8 @@ struct Server::Impl {
     resp.arrival_ms = p.arrival;
     resp.done_ms = t;
     trace += "shed id=" + std::to_string(p.id) + " tenant=" + p.tenant +
-             " t=" + fmt_ms(t) + " reason=" + why + "\n";
+             " t=" + fmt_ms(t) + " reason=deadline\n";
     terminal.emplace(p.id, std::move(resp));
-    cv_done.notify_all();
   }
 
   // Pops up to max_batch requests for a launch at virtual time L,
@@ -358,7 +346,7 @@ struct Server::Impl {
       pending.pop_front();
       --depth[p.tenant];
       if (L > p.deadline_abs) {
-        resolve_shed(p, L, "deadline");
+        resolve_shed(p, L);
         b.shed_ids.push_back(p.id);
       } else {
         b.run.push_back(std::move(p));
@@ -384,8 +372,6 @@ struct Server::Impl {
 
   // ---- execution ------------------------------------------------------
 
-  // Device-side work only — reads b.run, never queue state, so the
-  // threaded path may call it with the lock released.
   gpu::GpuFleetStats run_batch(const Batch& b,
                                std::vector<SparseSpectrum>& out) {
     if (!plan) {
@@ -403,11 +389,18 @@ struct Server::Impl {
     return fs;
   }
 
-  // (lock held) Accounts a launched batch: per-request completion times
-  // from the modeled per-signal windows, fleet clock advance by the
-  // merged makespan.
-  void resolve_batch(Batch& b, std::vector<SparseSpectrum>& out,
-                     const gpu::GpuFleetStats& fs) {
+  // Launches the head batch at virtual time L and accounts it:
+  // per-request completion times from the modeled per-signal windows,
+  // fleet clock advance by the merged makespan.
+  void launch(double L, const char* reason) {
+    Batch b = form(L, reason);
+    if (b.run.empty()) {
+      note_close(b, 0.0);
+      now = std::max(now, L);
+      return;
+    }
+    std::vector<SparseSpectrum> out;
+    const gpu::GpuFleetStats fs = run_batch(b, out);
     const std::size_t seq = batch_seq++;
     executed += b.run.size();
     m_batches.inc();
@@ -415,7 +408,7 @@ struct Server::Impl {
     note_close(b, fs.model_ms);
     for (std::size_t i = 0; i < b.run.size(); ++i) {
       Pend& p = b.run[i];
-      const double done_t = b.L + fs.per_signal[i].end_ms;
+      const double done_t = L + fs.per_signal[i].end_ms;
       const double lat = done_t - p.arrival;
       ++n_completed;
       m_completed.inc();
@@ -437,32 +430,19 @@ struct Server::Impl {
                std::to_string(seq) + "\n";
       terminal.emplace(p.id, std::move(resp));
     }
-    device_free = b.L + fs.model_ms;
-    now = std::max(now, b.L);
+    device_free = L + fs.model_ms;
+    now = std::max(now, L);
     trace += "free t=" + fmt_ms(device_free) + "\n";
-    cv_done.notify_all();
   }
 
-  // (lock held; virtual mode) Launches every batch that closes up to t.
+  // Launches every batch that closes up to t.
   void advance_to(double t) {
     while (!pending.empty()) {
       const Close c = next_close();
       if (c.t > t) break;
-      launch_inline(c.t, c.reason);
+      launch(c.t, c.reason);
     }
     now = std::max(now, t);
-  }
-
-  void launch_inline(double L, const char* reason) {
-    Batch b = form(L, reason);
-    if (b.run.empty()) {
-      note_close(b, 0.0);
-      now = std::max(now, L);
-      return;
-    }
-    std::vector<SparseSpectrum> out;
-    const gpu::GpuFleetStats fs = run_batch(b, out);
-    resolve_batch(b, out, fs);
   }
 
   void drain_all() {
@@ -471,64 +451,7 @@ struct Server::Impl {
       const double L = std::max(device_free, pending[lim - 1].arrival);
       const char* reason =
           pending.size() >= cfg.max_batch ? "size" : "drain";
-      launch_inline(L, reason);
-    }
-  }
-
-  // ---- threaded batcher -----------------------------------------------
-
-  void batcher_main() {
-    std::unique_lock<std::mutex> lk(mu);
-    for (;;) {
-      if (pending.empty()) {
-        if (stopping) break;
-        cv_batcher.wait(lk, [&] { return stopping || !pending.empty(); });
-        continue;
-      }
-      if (!stopping && pending.size() < cfg.max_batch) {
-        // Wall-clock pacing: give the batch its shortest pending SLO
-        // window to fill up. New arrivals re-check the predicate and keep
-        // waiting the remaining window (they ride along for free —
-        // continuous batching); hitting max_batch or stop() closes early.
-        double wait_ms = kInf;
-        const std::size_t lim = std::min(pending.size(), cfg.max_batch);
-        for (std::size_t i = 0; i < lim; ++i)
-          wait_ms = std::min(wait_ms, wait_of(pending[i].slo));
-        if (wait_ms > 0) {
-          cv_batcher.wait_for(
-              lk, std::chrono::duration<double, std::milli>(wait_ms), [&] {
-                return stopping || pending.size() >= cfg.max_batch;
-              });
-        }
-        if (pending.empty()) continue;  // everything cancelled meanwhile
-      }
-      // Virtual launch time: the deterministic close bound, except that a
-      // stop()-flush prices like drain (launch as soon as the device
-      // frees).
-      const char* reason;
-      double L;
-      if (pending.size() >= cfg.max_batch) {
-        reason = "size";
-        L = std::max(device_free, pending[cfg.max_batch - 1].arrival);
-      } else if (stopping) {
-        reason = "drain";
-        L = std::max(device_free, pending[pending.size() - 1].arrival);
-      } else {
-        const Close c = next_close();
-        reason = c.reason;
-        L = c.t;
-      }
-      Batch b = form(L, reason);
-      if (b.run.empty()) {
-        note_close(b, 0.0);
-        now = std::max(now, L);
-        continue;
-      }
-      lk.unlock();  // submissions stay open while the device runs
-      std::vector<SparseSpectrum> out;
-      const gpu::GpuFleetStats fs = run_batch(b, out);
-      lk.lock();
-      resolve_batch(b, out, fs);
+      launch(L, reason);
     }
   }
 
@@ -553,26 +476,16 @@ struct Server::Impl {
     s.throughput = summarize_latencies(lat_throughput);
     return s;
   }
-
-  void require_virtual() const {
-    if (running)
-      throw std::invalid_argument(
-          "serve::Server: virtual-clock calls (submit_at/advance/drain) are "
-          "illegal while the batcher thread runs; stop() first");
-  }
 };
 
 Server::Server(ServerConfig cfg) : impl_(std::make_unique<Impl>(std::move(cfg))) {}
 
-Server::~Server() {
-  if (impl_) stop();
-}
+Server::~Server() = default;
 
 const ServerConfig& Server::config() const { return impl_->cfg; }
 
 u64 Server::submit_at(double t_ms, Request r) {
   std::lock_guard<std::mutex> lk(impl_->mu);
-  impl_->require_virtual();
   const double arrival = std::max(t_ms, impl_->now);
   impl_->advance_to(arrival);
   return impl_->admit(arrival, std::move(r));
@@ -580,69 +493,13 @@ u64 Server::submit_at(double t_ms, Request r) {
 
 void Server::advance(double t_ms) {
   std::lock_guard<std::mutex> lk(impl_->mu);
-  impl_->require_virtual();
   if (t_ms < impl_->now) return;
   impl_->advance_to(t_ms);
 }
 
 void Server::drain() {
   std::lock_guard<std::mutex> lk(impl_->mu);
-  impl_->require_virtual();
   impl_->drain_all();
-}
-
-void Server::start() {
-  std::lock_guard<std::mutex> lk(impl_->mu);
-  if (impl_->running) return;
-  impl_->running = true;
-  impl_->stopping = false;
-  impl_->batcher = std::thread([this] { impl_->batcher_main(); });
-}
-
-void Server::stop() {
-  {
-    std::lock_guard<std::mutex> lk(impl_->mu);
-    if (!impl_->running) return;
-    impl_->stopping = true;
-    impl_->cv_batcher.notify_all();
-  }
-  impl_->batcher.join();
-  std::lock_guard<std::mutex> lk(impl_->mu);
-  impl_->running = false;
-  impl_->stopping = false;
-}
-
-u64 Server::submit(Request r) {
-  std::lock_guard<std::mutex> lk(impl_->mu);
-  if (!impl_->running)
-    throw std::invalid_argument(
-        "serve::Server::submit: batcher not running; start() first (or "
-        "drive the virtual clock with submit_at)");
-  const u64 id = impl_->admit(impl_->now, std::move(r));
-  impl_->cv_batcher.notify_all();
-  return id;
-}
-
-Response Server::wait(u64 id) {
-  std::unique_lock<std::mutex> lk(impl_->mu);
-  impl_->cv_done.wait(lk,
-                      [&] { return impl_->terminal.count(id) != 0; });
-  return impl_->terminal.at(id);
-}
-
-bool Server::cancel(u64 id) {
-  std::lock_guard<std::mutex> lk(impl_->mu);
-  for (auto it = impl_->pending.begin(); it != impl_->pending.end(); ++it) {
-    if (it->id != id) continue;
-    Impl::Pend p = std::move(*it);
-    impl_->pending.erase(it);
-    --impl_->depth[p.tenant];
-    impl_->resolve_shed(p, impl_->now, "cancel");
-    impl_->decisions.push_back("cancel id=" + std::to_string(id));
-    impl_->cv_batcher.notify_all();
-    return true;
-  }
-  return false;
 }
 
 bool Server::done(u64 id) const {

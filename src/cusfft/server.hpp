@@ -25,25 +25,17 @@
 //            A latency-class request therefore *preempts* the longer
 //            throughput accumulation window: its shorter max-wait caps the
 //            close time of the whole batch;
-//   - drain: drain()/stop() flush the remaining queue immediately.
+//   - drain: drain() flushes the remaining queue immediately.
 //
-// Two drive modes share one core (and one code path for admission,
-// batching, shedding, and stats):
-//   - Virtual (deterministic): the caller owns the clock. submit_at(t, r)
-//     admits a request at virtual time t (arrivals must be submitted in
-//     nondecreasing t), advance(t) launches every batch that closes up to
-//     t, drain() flushes. Single-threaded by construction — batch
-//     composition, shed decisions, and modeled latencies are a pure
-//     function of (trace, config, modeled device), bit-reproducible
-//     across runs and host thread counts. schedule_trace() /
-//     decision_trace() expose the decisions for golden assertions.
-//   - Threaded: start() spawns the batcher thread; submit() is
-//     thread-safe and returns a request id; wait(id) blocks for the
-//     terminal Response; cancel(id) resolves a still-pending request as
-//     shed; stop() drains and joins. Virtual time still prices latencies
-//     (arrivals stamp the current virtual clock; the clock advances by
-//     modeled batch makespans), while max-wait pacing uses the wall
-//     clock.
+// The caller owns the clock: submit_at(t, r) admits a request at virtual
+// time t (arrivals must be submitted in nondecreasing t), advance(t)
+// launches every batch that closes up to t, drain() flushes. Batch
+// composition, shed decisions and modeled latencies are therefore a pure
+// function of (trace, config, modeled device), bit-reproducible across
+// runs, host speeds and host thread counts. schedule_trace() /
+// decision_trace() expose the decisions for golden assertions. Every call
+// takes one lock, so another thread may read stats() or response() while
+// the caller drives the clock.
 //
 // The server publishes continuous metrics into
 // cusim::MetricsRegistry::global() as events happen (cusfft_serve_*
@@ -74,7 +66,7 @@ const char* slo_name(SloClass c);  // "latency" / "throughput"
 enum class Outcome { kPending, kCompleted, kShed, kRejected };
 const char* outcome_name(Outcome o);
 
-/// One tenant submission. x.size() must equal params.n (else submit
+/// One tenant submission. x.size() must equal params.n (else submit_at
 /// throws std::invalid_argument — a malformed request is a programming
 /// error, not backpressure). deadline_ms is relative to arrival;
 /// +infinity (the default) means none.
@@ -106,10 +98,10 @@ struct ServerConfig {
   /// CUSFFT_SERVE_MAX_WAIT_MS (throughput class),
   /// CUSFFT_SERVE_MAX_WAIT_LAT_MS (latency class),
   /// CUSFFT_SERVE_QUEUE_DEPTH. The environment is re-read on every call —
-  /// no latching (a later setenv is honored by the next construction;
-  /// see resolve_batch_mode's history). Malformed or out-of-range values
-  /// throw std::invalid_argument naming the variable; benches translate
-  /// that into the usual exit-2 usage error (bench::serve_config_or_exit).
+  /// no latching (a later setenv is honored by the next construction).
+  /// Malformed or out-of-range values throw std::invalid_argument naming
+  /// the variable; benches translate that into the usual exit-2 usage
+  /// error (bench::serve_config_or_exit).
   static ServerConfig from_env(ServerConfig base);
   static ServerConfig from_env() { return from_env(ServerConfig{}); }
 
@@ -175,20 +167,17 @@ class Server {
   /// request; later shapes go through the per-device shape-keyed plan
   /// cache, shared across tenants.
   explicit Server(ServerConfig cfg);
-  ~Server();  // stops the batcher thread if running
+  ~Server();
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
   const ServerConfig& config() const;
 
-  // ---- Virtual (deterministic) drive — single caller, manual clock ----
-
   /// Admits a request at virtual time t (clamped to the current clock;
   /// arrivals must be submitted in nondecreasing t). Batches that close
   /// before t launch first — continuous batching never sees the future.
   /// Returns the request id (also for rejected submissions — the typed
-  /// rejection is the terminal Response). Throws std::invalid_argument
-  /// (API misuse) while the batcher thread is running.
+  /// rejection is the terminal Response).
   u64 submit_at(double t_ms, Request r);
 
   /// Launches every batch whose close time is <= t_ms, advancing the
@@ -198,23 +187,6 @@ class Server {
   /// Flushes the queue: remaining batches launch back to back (reason
   /// "drain") at the device-free time.
   void drain();
-
-  // ---- Threaded drive ----
-
-  /// Spawns the batcher thread; submit()/wait()/cancel() become legal and
-  /// submit_at()/advance()/drain() throw until stop().
-  void start();
-  /// Drains the queue, stops and joins the batcher. Idempotent.
-  void stop();
-  /// Thread-safe submission (arrival stamps the current virtual clock).
-  u64 submit(Request r);
-  /// Blocks until the request is terminal. The id must come from submit.
-  Response wait(u64 id);
-  /// Resolves a still-pending request as shed ("cancel" in the trace).
-  /// Returns false when the request is already terminal (or unknown).
-  bool cancel(u64 id);
-
-  // ---- Inspection (either mode) ----
 
   bool done(u64 id) const;
   /// Terminal response, or a stub with Outcome::kPending.

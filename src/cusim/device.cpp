@@ -3,25 +3,28 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "cusim/metrics.hpp"
 #include "cusim/profiler.hpp"
 
 namespace cusfft::cusim {
 
-namespace {
-GraphMode graph_mode_env() {
+GraphMode graph_mode_from_env() {
   const char* env = std::getenv("CUSFFT_GRAPH");
-  if (env == nullptr || env[0] == '\0') return GraphMode::kOn;
+  if (env == nullptr || env[0] == '\0' || std::strcmp(env, "1") == 0)
+    return GraphMode::kOn;
   if (std::strcmp(env, "0") == 0) return GraphMode::kOff;
   if (std::strcmp(env, "verify") == 0) return GraphMode::kVerify;
-  return GraphMode::kOn;
+  throw std::invalid_argument(
+      "CUSFFT_GRAPH: expected '0', '1' or 'verify', got '" +
+      std::string(env) + "'");
 }
-}  // namespace
 
 Device::Device(perfmodel::GpuSpec spec)
     : model_(spec), timeline_(spec.max_concurrent_kernels) {
-  graph_mode_ = graph_mode_env();
+  graph_mode_ = graph_mode_from_env();
   pool_at_capture_ = BufferPool::global().stats();
 }
 

@@ -111,11 +111,16 @@ struct KernelReport {
 };
 
 /// Captured-graph replay mode (CUSFFT_GRAPH environment variable):
-/// "0" disables the cache (every launch traces), "verify" traces every
-/// launch anyway and cross-checks cache hits against the fresh counters
-/// (throws on any mismatch — the CI belt-and-braces mode), anything else
-/// (or unset) enables replay.
+/// unset, empty or "1" enables replay, "0" disables the cache (every
+/// launch traces), "verify" traces every launch anyway and cross-checks
+/// cache hits against the fresh counters (throws on any mismatch — the CI
+/// belt-and-braces mode).
 enum class GraphMode { kOff, kOn, kVerify };
+
+/// Reads CUSFFT_GRAPH (re-read on every call; each Device constructor
+/// calls it). Any other value throws std::invalid_argument naming the
+/// variable, so a mistyped "verify" cannot silently run with replay on.
+GraphMode graph_mode_from_env();
 
 /// One recorded launch: the trace-derived counters that replay restores
 /// without re-tracing. Shape-derived counters (blocks/threads/warps) and
@@ -217,6 +222,8 @@ class Device {
   }
 
  public:
+  /// Reads CUSFFT_GRAPH (graph_mode_from_env); throws
+  /// std::invalid_argument on a malformed value.
   explicit Device(perfmodel::GpuSpec spec = perfmodel::GpuSpec::k20x());
 
   /// Publishes the final graph-stats delta and arena high-water marks to

@@ -1,14 +1,12 @@
 #include "cusim/pool.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 
 namespace cusfft::cusim {
 
 namespace {
-thread_local unsigned t_lane = 0;
 thread_local BufferPool* t_pool = nullptr;  // null: global()
 }  // namespace
 
@@ -27,12 +25,6 @@ BufferPool::PoolScope::PoolScope(BufferPool& pool) : prev_(t_pool) {
 
 BufferPool::PoolScope::~PoolScope() { t_pool = prev_; }
 
-BufferPool::LaneScope::LaneScope(unsigned lane) : prev_(t_lane) {
-  t_lane = lane;
-}
-
-BufferPool::LaneScope::~LaneScope() { t_lane = prev_; }
-
 BufferPool::Block BufferPool::acquire(std::size_t bytes) {
   const u64 cap = std::max<u64>(256, (static_cast<u64>(bytes) + 255) &
                                          ~u64{255});
@@ -41,9 +33,8 @@ BufferPool::Block BufferPool::acquire(std::size_t bytes) {
     bool hit = false;
     {
       std::lock_guard lk(mu_);
-      auto it = free_.lower_bound({t_lane, cap});
-      if (it != free_.end() && it->first.first == t_lane &&
-          it->first.second <= 2 * cap) {
+      auto it = free_.lower_bound(cap);
+      if (it != free_.end() && it->first <= 2 * cap) {
         b = std::move(it->second.back());
         it->second.pop_back();
         if (it->second.empty()) free_.erase(it);
@@ -66,7 +57,6 @@ BufferPool::Block BufferPool::acquire(std::size_t bytes) {
   b.cap = cap;
   b.bytes.assign(cap, std::byte{0});
   b.base = reserve_device_range(cap);
-  b.lane = t_lane;
   return b;
 }
 
@@ -82,17 +72,16 @@ void BufferPool::release(Block&& b) {
     return;  // frees b
   }
   std::lock_guard lk(mu_);
-  free_[{b.lane, b.cap}].push_back(std::move(b));
+  free_[b.cap].push_back(std::move(b));
 }
 
 void BufferPool::trim() {
-  std::map<std::pair<unsigned, u64>, std::vector<Block>> doomed;
+  std::map<u64, std::vector<Block>> doomed;
   {
     std::lock_guard lk(mu_);
     doomed.swap(free_);
     u64 parked = 0;
-    for (const auto& [key, blocks] : doomed)
-      parked += key.second * blocks.size();
+    for (const auto& [cap, blocks] : doomed) parked += cap * blocks.size();
     bytes_pooled_.fetch_sub(parked, std::memory_order_relaxed);
   }
   // Destructors (the actual frees) run after the lock is dropped.
@@ -117,17 +106,7 @@ void BufferPool::set_max_pooled_bytes(u64 bytes) {
 }
 
 BufferPool& BufferPool::global() {
-  static BufferPool* pool = [] {
-    auto* p = new BufferPool();
-    if (const char* env = std::getenv("CUSFFT_POOL");
-        env != nullptr && env[0] == '0')
-      p->set_enabled(false);
-    if (const char* env = std::getenv("CUSFFT_POOL_MAX_MB")) {
-      const long mb = std::strtol(env, nullptr, 10);
-      if (mb >= 0) p->set_max_pooled_bytes(static_cast<u64>(mb) << 20);
-    }
-    return p;
-  }();
+  static BufferPool* pool = new BufferPool();
   return *pool;
 }
 

@@ -12,20 +12,15 @@
 // the lock, and stats are plain atomics so stats() never contends with the
 // worker threads that acquire scratch buffers mid-capture.
 //
-// Lanes: the free lists are partitioned by lane. A thread acquires from
-// its current lane (0 unless a LaneScope is live) and a block always
-// parks back on the lane it was acquired on. Concurrent fleet shards each
-// run on their own lane, so which parked blocks a shard reuses — and the
-// allocation/reuse split its capture reports — never depends on how the
-// shard threads interleave.
-//
 // Two process-wide pools: global(), whose stats captures report, and
 // lanes(), which backs everything a batch's signal lanes allocate (the
 // extra lanes' buffer sets, and scratch a kernel sequence acquires while
 // it runs on a lane). Keeping lane memory off global() makes a capture's
-// pool delta the same at every lane count. lanes() never parks: lane
-// memory is freed with its lane, so a process that builds plan after plan
-// (one-shot jobs of many shapes) keeps no lane-count-fold free lists.
+// pool delta the same at every lane count, and keeps concurrent fleet
+// shards (whose plans are built before they fan out) off global()'s free
+// lists altogether. lanes() never parks: lane memory is freed with its
+// lane, so a process that builds plan after plan (one-shot jobs of many
+// shapes) keeps no lane-count-fold free lists.
 // DeviceBuffer allocates from the calling thread's current pool (global()
 // unless a PoolScope is live) and releases to the pool it came from.
 #pragma once
@@ -34,7 +29,6 @@
 #include <cstddef>
 #include <map>
 #include <mutex>
-#include <utility>
 #include <vector>
 
 #include "core/types.hpp"
@@ -55,20 +49,6 @@ class BufferPool {
     std::vector<std::byte> bytes;
     u64 base = 0;  // simulated device address of bytes[0]
     u64 cap = 0;   // capacity in bytes (256-byte multiple); 0 == empty
-    unsigned lane = 0;  // free-list lane it parks on when released
-  };
-
-  /// Puts the calling thread on `lane` for the scope's lifetime (restoring
-  /// the previous lane on exit).
-  class LaneScope {
-   public:
-    explicit LaneScope(unsigned lane);
-    ~LaneScope();
-    LaneScope(const LaneScope&) = delete;
-    LaneScope& operator=(const LaneScope&) = delete;
-
-   private:
-    unsigned prev_;
   };
 
   /// Makes `pool` the calling thread's current pool for the scope's
@@ -106,13 +86,13 @@ class BufferPool {
     }
   };
 
-  /// Returns a zeroed block of at least `bytes` capacity — from the calling
-  /// thread's lane when a fit exists there (capacity within 2x of the
-  /// request), otherwise freshly allocated.
+  /// Returns a zeroed block of at least `bytes` capacity — from the free
+  /// list when a fit exists there (capacity within 2x of the request),
+  /// otherwise freshly allocated.
   Block acquire(std::size_t bytes);
 
-  /// Parks a block for reuse on its own lane; frees it instead when
-  /// pooling is disabled or the pooled-bytes budget would be exceeded.
+  /// Parks a block for reuse; frees it instead when pooling is disabled or
+  /// the pooled-bytes budget would be exceeded.
   void release(Block&& b);
 
   /// Frees every parked block (the free list only; live buffers are
@@ -121,8 +101,7 @@ class BufferPool {
 
   Stats stats() const;
 
-  /// Pooling toggle and pooled-bytes budget. The process-wide pool reads
-  /// CUSFFT_POOL=0 (disable) and CUSFFT_POOL_MAX_MB once at creation.
+  /// Pooling toggle and pooled-bytes budget (1 GiB by default).
   void set_enabled(bool on);
   void set_max_pooled_bytes(u64 bytes);
 
@@ -136,8 +115,8 @@ class BufferPool {
 
  private:
   mutable std::mutex mu_;
-  // (lane, size class = capacity) -> parked blocks
-  std::map<std::pair<unsigned, u64>, std::vector<Block>> free_;
+  // size class (= capacity) -> parked blocks
+  std::map<u64, std::vector<Block>> free_;
 
   // Counters live outside the mutex: bytes_pooled_ is adjusted with a
   // reserve-then-insert protocol in release() so the parked total never

@@ -336,6 +336,22 @@ TEST(BenchOptsDeathTest, MalformedThreadsEnvExits) {
     ::unsetenv("CUSFFT_THREADS");
 }
 
+TEST(BenchOptsDeathTest, MalformedGraphEnvExits) {
+  const char* prev = std::getenv("CUSFFT_GRAPH");
+  const std::string saved = prev != nullptr ? prev : "";
+  for (const char* bad : {"verfy", "off", "false"}) {
+    ::setenv("CUSFFT_GRAPH", bad, 1);
+    const char* argv[] = {"bench"};
+    EXPECT_EXIT(BenchOpts::parse(1, const_cast<char**>(argv)),
+                ::testing::ExitedWithCode(2), "CUSFFT_GRAPH")
+        << bad;
+  }
+  if (prev != nullptr)
+    ::setenv("CUSFFT_GRAPH", saved.c_str(), 1);
+  else
+    ::unsetenv("CUSFFT_GRAPH");
+}
+
 TEST(BenchOptsDeathTest, EmptyMetricsEnvExits) {
   ::setenv("CUSFFT_METRICS", "", 1);
   const char* argv[] = {"bench"};

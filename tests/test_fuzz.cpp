@@ -7,8 +7,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <map>
 #include <numeric>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -286,14 +289,16 @@ TEST(Fuzz, RandomHostileConfigsValidateOrExecute) {
 }
 
 TEST(Fuzz, ServerSubmissionsTerminateOnceAndMatchSinglePlan) {
-  // Randomized tenants, shapes, SLO classes, deadlines, and cancellations
-  // against the threaded serving tier. Invariants: every request reaches
-  // exactly one of {completed, shed, rejected}; a cancellation that
-  // reported success is terminal as shed; request accounting conserves;
-  // and every completed spectrum is bit-identical to a standalone
-  // GpuPlan::execute of the same params and samples — continuous batching
-  // must never change results.
+  // Randomized tenants, shapes, SLO classes, deadlines, quotas and clock
+  // advances against the serving tier's virtual drive. Invariants: every
+  // request reaches exactly one of {completed, shed, rejected}; request
+  // accounting conserves; every completed spectrum is bit-identical to a
+  // standalone GpuPlan::execute of the same params and samples —
+  // continuous batching must never change results; and a second run of
+  // the same script reproduces the schedule trace byte for byte.
+  constexpr u64 kSignalSeed = 2029;
   Rng rng(2029);
+  std::size_t shed_total = 0, rejected_total = 0;  // over all trials
   for (int trial = 0; trial < 3; ++trial) {
     serve::ServerConfig cfg;
     cfg.devices = 1 + rng.next_below(2);
@@ -301,65 +306,90 @@ TEST(Fuzz, ServerSubmissionsTerminateOnceAndMatchSinglePlan) {
     cfg.max_wait_latency_ms = 0.1 + rng.next_double();
     cfg.max_wait_throughput_ms = 0.5 + 2.0 * rng.next_double();
     cfg.tenant_queue_depth = 2 + rng.next_below(6);
-    serve::Server s(cfg);
-    s.start();
 
-    struct Sub {
-      u64 id;
+    // The script: nondecreasing arrivals (a third of them simultaneous
+    // with the previous one), each followed by an advance() to a random
+    // later point with probability 1/5. An advance past the next arrival
+    // makes submit_at clamp that arrival to the clock.
+    struct Step {
       serve::TraceEvent e;
-      std::size_t index;
-      bool cancelled;
+      double advance_ms = -1;  // < 0: no advance after this arrival
     };
-    std::vector<Sub> subs;
+    std::vector<Step> script;
     const std::size_t count = 40 + rng.next_below(40);
+    double at = 0;
     for (std::size_t i = 0; i < count; ++i) {
-      serve::TraceEvent e = serve_test::ev(
-          0, "f" + std::to_string(rng.next_below(4)),
-          std::size_t{256} << rng.next_below(2), 4,
-          rng.next_below(3) == 0 ? serve::SloClass::kLatency
-                                 : serve::SloClass::kThroughput);
-      if (rng.next_below(6) == 0) e.deadline_ms = 0.05 + rng.next_double();
-      serve::Request r;
-      r.tenant = e.tenant;
-      r.params = serve::trace_params(e, 2029);
-      r.x = serve::trace_signal(e, 2029, i);
-      r.slo = e.slo;
-      r.deadline_ms = e.deadline_ms;
-      const u64 id = s.submit(std::move(r));
-      const bool cancelled = rng.next_below(8) == 0 && s.cancel(id);
-      subs.push_back({id, std::move(e), i, cancelled});
+      if (rng.next_below(3) != 0) at += 0.5 * rng.next_double();
+      Step st;
+      st.e = serve_test::ev(at, "f" + std::to_string(rng.next_below(4)),
+                            std::size_t{256} << rng.next_below(2), 4,
+                            rng.next_below(3) == 0
+                                ? serve::SloClass::kLatency
+                                : serve::SloClass::kThroughput);
+      if (rng.next_below(6) == 0) st.e.deadline_ms = 0.05 + rng.next_double();
+      if (rng.next_below(5) == 0) st.advance_ms = at + 3.0 * rng.next_double();
+      script.push_back(std::move(st));
     }
-    s.stop();
+    const auto drive = [&](serve::Server& s) {
+      std::vector<u64> ids;
+      for (std::size_t i = 0; i < script.size(); ++i) {
+        const serve::TraceEvent& e = script[i].e;
+        serve::Request r;
+        r.tenant = e.tenant;
+        r.params = serve::trace_params(e, kSignalSeed);
+        r.x = serve::trace_signal(e, kSignalSeed, i);
+        r.slo = e.slo;
+        r.deadline_ms = e.deadline_ms;
+        ids.push_back(s.submit_at(e.arrival_ms, std::move(r)));
+        if (script[i].advance_ms >= 0) s.advance(script[i].advance_ms);
+      }
+      s.drain();
+      return ids;
+    };
+    serve::Server s(cfg);
+    const std::vector<u64> ids = drive(s);
+    ASSERT_EQ(ids.size(), count);
 
+    // Exactly one terminal line (done, shed or reject) per id.
+    std::map<u64, int> terminal_lines;
+    {
+      std::istringstream lines(s.schedule_trace());
+      std::string line;
+      while (std::getline(lines, line)) {
+        for (const char* tag : {"done id=", "shed id=", "reject id="}) {
+          if (line.rfind(tag, 0) == 0)
+            ++terminal_lines[std::stoull(line.substr(std::strlen(tag)))];
+        }
+      }
+    }
     std::size_t completed = 0, shed = 0, rejected = 0;
-    for (const Sub& sub : subs) {
-      const serve::Response resp = s.response(sub.id);
+    for (std::size_t i = 0; i < count; ++i) {
+      const u64 id = ids[i];
+      EXPECT_EQ(terminal_lines[id], 1) << "trial=" << trial << " id=" << id;
+      const serve::Response resp = s.response(id);
       switch (resp.outcome) {
         case serve::Outcome::kCompleted: ++completed; break;
         case serve::Outcome::kShed: ++shed; break;
         case serve::Outcome::kRejected: ++rejected; break;
         case serve::Outcome::kPending:
-          FAIL() << "trial=" << trial << " id=" << sub.id
-                 << " never terminated";
-      }
-      if (sub.cancelled) {
-        EXPECT_EQ(resp.outcome, serve::Outcome::kShed)
-            << "trial=" << trial << " id=" << sub.id;
+          FAIL() << "trial=" << trial << " id=" << id << " never terminated";
       }
       if (resp.outcome != serve::Outcome::kCompleted) continue;
+      const serve::TraceEvent& e = script[i].e;
       cusim::Device dev;
-      gpu::GpuPlan plan(dev, serve::trace_params(sub.e, 2029), cfg.opts);
+      gpu::GpuPlan plan(dev, serve::trace_params(e, kSignalSeed), cfg.opts);
       const SparseSpectrum want =
-          plan.execute(serve::trace_signal(sub.e, 2029, sub.index));
+          plan.execute(serve::trace_signal(e, kSignalSeed, i));
       ASSERT_EQ(resp.spectrum.size(), want.size())
-          << "trial=" << trial << " id=" << sub.id;
+          << "trial=" << trial << " id=" << id;
       for (std::size_t j = 0; j < want.size(); ++j) {
         ASSERT_EQ(resp.spectrum[j].loc, want[j].loc)
-            << "trial=" << trial << " id=" << sub.id;
+            << "trial=" << trial << " id=" << id;
         ASSERT_EQ(resp.spectrum[j].val, want[j].val)
-            << "trial=" << trial << " id=" << sub.id;
+            << "trial=" << trial << " id=" << id;
       }
     }
+    EXPECT_EQ(terminal_lines.size(), count) << "trial=" << trial;
     const auto st = s.stats();
     EXPECT_EQ(st.submitted, count) << "trial=" << trial;
     EXPECT_EQ(st.completed, completed) << "trial=" << trial;
@@ -367,7 +397,17 @@ TEST(Fuzz, ServerSubmissionsTerminateOnceAndMatchSinglePlan) {
     EXPECT_EQ(st.rejected, rejected) << "trial=" << trial;
     EXPECT_EQ(completed + shed + rejected, count) << "trial=" << trial;
     EXPECT_GT(completed, 0u) << "trial=" << trial;
+    shed_total += shed;
+    rejected_total += rejected;
+
+    serve::Server again(cfg);
+    EXPECT_EQ(drive(again), ids) << "trial=" << trial;
+    EXPECT_EQ(again.schedule_trace(), s.schedule_trace())
+        << "trial=" << trial;
   }
+  // The script must reach every terminal outcome, not only completions.
+  EXPECT_GT(shed_total, 0u);
+  EXPECT_GT(rejected_total, 0u);
 }
 
 TEST(Fuzz, BluesteinMatchesNaiveDftOddSizes) {

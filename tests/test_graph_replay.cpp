@@ -8,11 +8,14 @@
 //   3. GraphMode::kVerify traces anyway, cross-checks against the record,
 //      and throws when the traffic genuinely diverges;
 //   4. the plan/batch/fleet paths (kSerialized, kPipelined, 1/2/4-device
-//      DeviceGroup) all hold property 1 while actually replaying.
+//      DeviceGroup) all hold property 1 while actually replaying;
+//   5. CUSFFT_GRAPH accepts only unset/empty/1, 0 and verify.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -113,6 +116,35 @@ TEST(GraphReplay, OffModeNeverRecords) {
                });
   EXPECT_EQ(dev.graph_stats().records, 0u);
   EXPECT_EQ(dev.graph_stats().replays, 0u);
+}
+
+TEST(GraphReplay, EnvAcceptsOnlyKnownModes) {
+  // CUSFFT_GRAPH is strict: a mistyped "verify" (or any other unknown
+  // value) must not silently run with replay on. The suite may itself run
+  // under CUSFFT_GRAPH=verify, so the variable is restored afterwards.
+  const char* prev = std::getenv("CUSFFT_GRAPH");
+  const std::string saved = prev != nullptr ? prev : "";
+  const auto mode_under = [](const char* v) {
+    setenv("CUSFFT_GRAPH", v, /*overwrite=*/1);
+    return Device().graph_mode();
+  };
+  EXPECT_EQ(mode_under(""), GraphMode::kOn);
+  EXPECT_EQ(mode_under("1"), GraphMode::kOn);
+  EXPECT_EQ(mode_under("0"), GraphMode::kOff);
+  EXPECT_EQ(mode_under("verify"), GraphMode::kVerify);
+  for (const char* bad : {"verfy", "off", "false"}) {
+    setenv("CUSFFT_GRAPH", bad, /*overwrite=*/1);
+    try {
+      Device dev;
+      ADD_FAILURE() << "CUSFFT_GRAPH=" << bad << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("CUSFFT_GRAPH"), std::string::npos)
+          << e.what();
+    }
+  }
+  unsetenv("CUSFFT_GRAPH");
+  EXPECT_EQ(Device().graph_mode(), GraphMode::kOn);
+  if (prev != nullptr) setenv("CUSFFT_GRAPH", saved.c_str(), 1);
 }
 
 TEST(GraphReplay, ClearGraphCacheForcesReRecord) {

@@ -217,7 +217,7 @@ TEST(MultiGpu, TwoDeviceFleetBeatsPipelinedWithContention) {
   // The bench shape (ROADMAP acceptance): n = 2^13, batch 8, transfers
   // included so the H2D copies exercise the shared host link. Explicit
   // kPipelined on both sides — the fleet win must come from sharding, not
-  // from one side losing its pipeline to a CUSFFT_PIPELINE env override.
+  // from a difference in batch schedule.
   const std::size_t n = 1 << 13, k = 8, batch_n = 8;
   Batch batch(batch_n, n, k, 9000);
   sfft::Params params;

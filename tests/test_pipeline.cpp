@@ -18,7 +18,6 @@
 // profile_check runs on the smoke artifact (tools/profile_check_lib).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <set>
 #include <span>
 #include <string>
@@ -70,13 +69,6 @@ void expect_identical(const std::vector<SparseSpectrum>& a,
           << what << ", signal " << i;
     }
   }
-}
-
-// Whether resolve_batch_mode's environment override is active in this
-// process (CI's serialized-baseline configuration exports it for ctest).
-bool env_forces_serial() {
-  const char* e = std::getenv("CUSFFT_PIPELINE");
-  return e != nullptr && std::string(e) == "0";
 }
 
 // ---------------------------------------------------------------------------
@@ -347,7 +339,7 @@ TEST(PipelineAuto, RealBatchesPipelineUnlessEnvForbids) {
   gpu::GpuPlan plan(dev, p, gpu::Options::optimized());
   gpu::GpuBatchStats st;
   plan.execute_many(b.views, &st, gpu::BatchMode::kAuto);
-  EXPECT_EQ(st.pipelined, !env_forces_serial());
+  EXPECT_TRUE(st.pipelined);
 }
 
 }  // namespace

@@ -15,17 +15,13 @@
 //   5. batched serving sustains higher QPS than per-request execution on
 //      the same trace;
 //   6. the cusfft_serve_* metrics stay monotonic and internally
-//      consistent (validated with the same metrics_check_lib CI uses);
-//   7. threaded drive: submit/wait/cancel/stop with conservation — every
-//      request terminal exactly once — including a producer-thread soak.
+//      consistent (validated with the same metrics_check_lib CI uses).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <limits>
-#include <set>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cusfft/plan.hpp"
@@ -410,117 +406,6 @@ TEST(ServeMetrics, PublishesConsistentMonotonicInstruments) {
   // Counters reflect both drained replays.
   EXPECT_EQ(snap.counters.at("cusfft_serve_completed_total"),
             r1.stats.completed + r2.stats.completed);
-}
-
-// ---- threaded drive ----------------------------------------------------
-
-TEST(ServeThreaded, SubmitWaitCompletesAndModesAreExclusive) {
-  ServerConfig cfg = small_config();
-  cfg.max_batch = 4;
-  cfg.max_wait_latency_ms = 0.5;
-  cfg.max_wait_throughput_ms = 2.0;
-  serve::Server s(cfg);
-  EXPECT_THROW(s.submit(serve::Request{}), std::logic_error);
-  s.start();
-  EXPECT_THROW(s.submit_at(0.0, serve::Request{}), std::logic_error);
-  EXPECT_THROW(s.advance(1.0), std::logic_error);
-  std::vector<u64> ids;
-  for (int i = 0; i < 6; ++i) {
-    serve::Request r;
-    r.tenant = i % 2 ? "a" : "b";
-    r.params = serve::trace_params(ev(0, "", 256, 4, SloClass::kThroughput), 9);
-    r.x = serve::trace_signal(ev(0, "", 256, 4, SloClass::kThroughput), 9, i);
-    ids.push_back(s.submit(std::move(r)));
-  }
-  for (u64 id : ids) {
-    const serve::Response resp = s.wait(id);
-    EXPECT_EQ(resp.outcome, Outcome::kCompleted);
-    EXPECT_FALSE(resp.spectrum.empty());
-  }
-  s.stop();
-  const auto st = s.stats();
-  EXPECT_EQ(st.submitted, ids.size());
-  EXPECT_EQ(st.completed + st.shed + st.rejected, st.submitted);
-}
-
-TEST(ServeThreaded, CancelResolvesPendingAsShed) {
-  ServerConfig cfg = small_config();
-  cfg.max_batch = 64;                      // size trigger unreachable
-  cfg.max_wait_throughput_ms = 10'000.0;   // wait trigger far away
-  serve::Server s(cfg);
-  s.start();
-  serve::Request r;
-  r.tenant = "a";
-  r.params = serve::trace_params(ev(0, "", 256, 4, SloClass::kThroughput), 9);
-  r.x = serve::trace_signal(ev(0, "", 256, 4, SloClass::kThroughput), 9, 0);
-  const u64 id = s.submit(std::move(r));
-  const bool cancelled = s.cancel(id);
-  const serve::Response resp = s.wait(id);
-  // cancel() raced the batcher: its return value and the terminal outcome
-  // must agree either way.
-  EXPECT_EQ(resp.outcome, cancelled ? Outcome::kShed : Outcome::kCompleted);
-  EXPECT_FALSE(s.cancel(id));  // already terminal
-  s.stop();
-}
-
-// ---- soak (satellite: producers x tenants, conservation) ---------------
-
-TEST(ServeSoak, ProducersNeverLoseOrDuplicateResponses) {
-  // Short by default; CUSFFT_SOAK scales it up for a long run.
-  const std::size_t per_thread =
-      std::getenv("CUSFFT_SOAK") ? 5000u : 500u;
-  constexpr std::size_t kThreads = 4;
-  auto& reg = cusim::MetricsRegistry::global();
-  reg.reset();
-  const std::string snap_before = reg.expose_json();
-
-  ServerConfig cfg = small_config();
-  cfg.devices = 2;
-  cfg.max_batch = 8;
-  cfg.max_wait_latency_ms = 0.2;
-  cfg.max_wait_throughput_ms = 1.0;
-  cfg.tenant_queue_depth = 64;
-  serve::Server s(cfg);
-  s.start();
-
-  std::vector<std::vector<u64>> ids(kThreads);
-  std::vector<std::thread> producers;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    producers.emplace_back([&, t] {
-      Rng rng(7000 + t);
-      for (std::size_t i = 0; i < per_thread; ++i) {
-        serve::Request r;
-        r.tenant = "tenant" + std::to_string(rng.next_below(3));
-        const std::size_t n = rng.next_below(2) ? 512 : 256;
-        r.params = serve::trace_params(
-            ev(0, "", n, 4, SloClass::kThroughput), 11);
-        r.x = serve::trace_signal(ev(0, "", n, 4, SloClass::kThroughput), 11,
-                                  t * per_thread + i);
-        r.slo = rng.next_below(4) == 0 ? SloClass::kLatency
-                                       : SloClass::kThroughput;
-        ids[t].push_back(s.submit(std::move(r)));
-      }
-    });
-  }
-  for (auto& p : producers) p.join();
-  s.stop();
-
-  // Every id terminal exactly once, no duplicates across producers.
-  std::set<u64> seen;
-  for (const auto& batch : ids)
-    for (u64 id : batch) {
-      EXPECT_TRUE(seen.insert(id).second) << "duplicate id " << id;
-      const serve::Response resp = s.response(id);
-      EXPECT_NE(resp.outcome, Outcome::kPending) << "lost request " << id;
-    }
-  const auto st = s.stats();
-  EXPECT_EQ(st.submitted, kThreads * per_thread);
-  EXPECT_EQ(st.completed + st.shed + st.rejected, st.submitted);
-  EXPECT_GT(st.completed, 0u);
-
-  const auto mono =
-      tools::check_metrics_monotonic(snap_before, reg.expose_json());
-  EXPECT_TRUE(mono.ok) << (mono.errors.empty() ? "" : mono.errors.front());
 }
 
 }  // namespace

@@ -12,8 +12,12 @@
 
 #include "core/rng.hpp"
 #include "core/thread_pool.hpp"
+#include "cusfft/cluster_plan.hpp"
+#include "cusfft/multi_plan.hpp"
 #include "cusfft/plan.hpp"
+#include "cusim/cluster.hpp"
 #include "cusim/device.hpp"
+#include "cusim/device_group.hpp"
 #include "cusim/pool.hpp"
 #include "signal/filter.hpp"
 #include "signal/generate.hpp"
@@ -85,29 +89,49 @@ TEST(BufferPool, BudgetBoundsParkedBytes) {
   EXPECT_EQ(pool.stats().bytes_pooled, pooled);
 }
 
-TEST(BufferPool, LanesKeepParkedBlocksApart) {
-  // A block parks back on the lane it was acquired on, whichever thread
-  // releases it, and an acquire only reuses blocks of the caller's lane —
-  // so concurrent fleet shards (one lane each) never race for one block.
-  BufferPool pool;
-  BufferPool::Block a;
-  {
-    const BufferPool::LaneScope lane(1);
-    a = pool.acquire(1000);
+TEST(BufferPool, WarmShardedBatchesLeaveTheGlobalPoolUntouched) {
+  // Fleet and cluster shards run concurrently, one host thread per device,
+  // yet never share the global pool's free list: every shape's plan is
+  // built before the fan-out, and a signal's buffers come from its lane
+  // (BufferPool::lanes()). So a warm sharded batch neither acquires from
+  // nor parks on global(), and its capture's pool delta cannot depend on
+  // how the shard threads interleave.
+  Rng rng(77);
+  std::vector<sfft::Params> params(8);
+  std::vector<cvec> xs;
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    params[i].n = i % 2 ? 1 << 12 : 1 << 11;
+    params[i].k = i % 2 ? 8 : 4;
+    params[i].seed = 5;
+    xs.push_back(signal::make_sparse_signal(params[i].n, params[i].k, rng).x);
   }
-  EXPECT_EQ(a.lane, 1u);
-  pool.release(std::move(a));  // released from lane 0, parks on lane 1
+  std::vector<gpu::MixedSignal> mix;
+  for (std::size_t i = 0; i < xs.size(); ++i) mix.push_back({xs[i], params[i]});
+  const auto expect_untouched = [](const BufferPool::Stats& before,
+                                   const char* what) {
+    const BufferPool::Stats after = BufferPool::global().stats();
+    EXPECT_EQ(after.allocations, before.allocations) << what;
+    EXPECT_EQ(after.reuses, before.reuses) << what;
+    EXPECT_EQ(after.bytes_allocated, before.bytes_allocated) << what;
+    EXPECT_EQ(after.bytes_reused, before.bytes_reused) << what;
+    EXPECT_EQ(after.bytes_pooled, before.bytes_pooled) << what;
+  };
 
-  BufferPool::Block b = pool.acquire(1000);  // lane 0 has nothing parked
-  EXPECT_EQ(b.lane, 0u);
-  EXPECT_EQ(pool.stats().reuses, 0u);
-  {
-    const BufferPool::LaneScope lane(1);
-    BufferPool::Block c = pool.acquire(1000);
-    EXPECT_EQ(c.lane, 1u);
-    EXPECT_EQ(pool.stats().reuses, 1u);
-  }
-  EXPECT_EQ(pool.stats().allocations, 2u);
+  cusim::DeviceGroup group(2);
+  gpu::MultiGpuPlan fleet(group, mix.front().params,
+                          gpu::Options::optimized());
+  fleet.execute_mixed(mix);  // warm: plans, lanes, streams
+  BufferPool::Stats before = BufferPool::global().stats();
+  fleet.execute_mixed(mix);
+  expect_untouched(before, "2-device mixed batch");
+
+  cusim::Cluster cluster(2, 2);
+  gpu::ClusterPlan plan(cluster, mix.front().params,
+                        gpu::Options::optimized());
+  plan.execute_mixed(mix);
+  before = BufferPool::global().stats();
+  plan.execute_mixed(mix);
+  expect_untouched(before, "2x2 cluster batch");
 }
 
 TEST(FilterCache, RepeatedPlansShareOneFilter) {
