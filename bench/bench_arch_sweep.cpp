@@ -21,7 +21,7 @@ RunResult run_on(const perfmodel::GpuSpec& spec, std::size_t n,
   gpu::Options opts = gpu::Options::optimized();
   opts.include_transfer = transfer;
   gpu::GpuPlan plan(dev, paper_params(n, k, seed), opts);
-  gpu::GpuExecStats stats;
+  gpu::GpuBatchStats stats;
   plan.execute(x, &stats);
   return {stats.model_ms, stats.host_ms};
 }

@@ -36,14 +36,14 @@ int main(int argc, char** argv) {
     cusim::Device dev;
     gpu::GpuPlan plan(dev, paper_params(n, k, o.seed),
                       gpu::Options::optimized());
-    gpu::GpuExecStats stats;
+    gpu::GpuBatchStats stats;
     plan.execute(x, &stats);
+    const std::map<std::string, double> step_ms = gpu::step_model_ms(dev);
 
     std::vector<std::string> row{std::to_string(logn)};
     for (const char* s : steps) {
-      auto it = stats.step_model_ms.find(s);
-      row.push_back(
-          ResultTable::num(it == stats.step_model_ms.end() ? 0 : it->second));
+      auto it = step_ms.find(s);
+      row.push_back(ResultTable::num(it == step_ms.end() ? 0 : it->second));
     }
     row.push_back(ResultTable::num(stats.model_ms));
     t.add_row(row);

@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
     cusim::Device dev;
     gpu::GpuPlan plan(dev, paper_params(n, k, o.seed),
                       gpu::Options::optimized());
-    gpu::GpuExecStats stats;
+    gpu::GpuBatchStats stats;
     const auto got = plan.execute(sig.x, &stats);
 
     // Spectral SNR: per-coefficient signal power 1 vs noise power per bin

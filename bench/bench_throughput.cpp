@@ -328,7 +328,7 @@ int main(int argc, char** argv) {
     double model_ms = 0;
     for (std::size_t i = 0; i < batch; ++i) {
       gpu::GpuPlan plan(dev, params, opts);
-      gpu::GpuExecStats st;
+      gpu::GpuBatchStats st;
       plan.execute(views[i], &st);
       model_ms += st.model_ms;
     }
@@ -341,7 +341,7 @@ int main(int argc, char** argv) {
     WallTimer wall;
     double model_ms = 0;
     for (std::size_t i = 0; i < batch; ++i) {
-      gpu::GpuExecStats st;
+      gpu::GpuBatchStats st;
       plan.execute(views[i], &st);
       model_ms += st.model_ms;
     }

@@ -296,9 +296,9 @@ RunResult run_cusfft(std::size_t n, std::size_t k, const gpu::Options& opts,
                      std::map<std::string, double>* steps) {
   cusim::Device dev;
   gpu::GpuPlan plan(dev, paper_params(n, k, seed), opts);
-  gpu::GpuExecStats stats;
+  gpu::GpuBatchStats stats;
   plan.execute(x, &stats);
-  if (steps) *steps = stats.step_model_ms;
+  if (steps) *steps = gpu::step_model_ms(dev);
   // Registered --profile / CUSFFT_PROFILE path: emit this capture's
   // artifact (sweeps overwrite; the file ends up holding the last run).
   if (!g_profile_path.empty())

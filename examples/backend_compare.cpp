@@ -4,8 +4,12 @@
 // A compact tour of the whole public API.
 //
 //   ./backend_compare [log2_n] [k]
+//
+// A malformed CUSFFT_GRAPH or CUSFFT_THREADS is a usage error: the message
+// goes to stderr and the exit status is 2, as in the benches.
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 
 #include "core/metrics.hpp"
 #include "core/rng.hpp"
@@ -19,7 +23,7 @@
 
 using namespace cusfft;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const std::size_t logn = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 17;
   const std::size_t k = argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 24;
   const std::size_t n = 1ULL << logn;
@@ -59,16 +63,19 @@ int main(int argc, char** argv) {
   {
     cusim::Device dev;
     gpu::GpuPlan plan(dev, params, gpu::Options::baseline());
-    gpu::GpuExecStats stats;
+    gpu::GpuBatchStats stats;
     const auto got = plan.execute(sig.x, &stats);
     report("cusFFT base (modeled K20x)", got, stats.model_ms);
   }
   {
     cusim::Device dev;
     gpu::GpuPlan plan(dev, params, gpu::Options::optimized());
-    gpu::GpuExecStats stats;
+    gpu::GpuBatchStats stats;
     const auto got = plan.execute(sig.x, &stats);
     report("cusFFT opt (modeled K20x)", got, stats.model_ms);
   }
   return 0;
+} catch (const std::invalid_argument& e) {
+  std::fprintf(stderr, "backend_compare: %s\n", e.what());
+  return 2;
 }

@@ -5,9 +5,13 @@
 // both the detection result and the modeled K20x timing.
 //
 //   ./spectrum_sensing [log2_n] [channels] [occupied]
+//
+// A malformed CUSFFT_GRAPH or CUSFFT_THREADS is a usage error: the message
+// goes to stderr and the exit status is 2, as in the benches.
 #include <cstdio>
 #include <cstdlib>
 #include <set>
+#include <stdexcept>
 
 #include "core/rng.hpp"
 #include "cusfft/plan.hpp"
@@ -16,7 +20,7 @@
 
 using namespace cusfft;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const std::size_t logn = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 18;
   const std::size_t channels =
       argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 64;
@@ -48,7 +52,7 @@ int main(int argc, char** argv) {
   params.k = k;
   cusim::Device dev;  // the simulated Tesla K20x
   gpu::GpuPlan plan(dev, params, gpu::Options::optimized());
-  gpu::GpuExecStats stats;
+  gpu::GpuBatchStats stats;
   const SparseSpectrum got = plan.execute(x, &stats);
 
   // Aggregate recovered energy per channel.
@@ -77,4 +81,7 @@ int main(int argc, char** argv) {
               stats.model_ms, stats.host_ms);
   std::printf("candidate coefficients examined: %zu\n", stats.candidates);
   return correct == channels ? 0 : 1;
+} catch (const std::invalid_argument& e) {
+  std::fprintf(stderr, "spectrum_sensing: %s\n", e.what());
+  return 2;
 }

@@ -76,7 +76,7 @@ double measure_backend(const sfft::Params& p, sfft::Algorithm algo,
   q.algo = algo;
   cusim::Device dev(spec);
   GpuPlan plan(dev, q, opts);
-  GpuExecStats st;
+  GpuBatchStats st;
   plan.execute(x, &st);
   return st.model_ms;
 }

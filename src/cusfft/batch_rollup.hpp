@@ -1,5 +1,6 @@
 // The path every MultiGpuPlan and ClusterPlan batch takes after its
-// replay (internal to the gpu layer; defined in multi_plan.cpp).
+// replay, and the per-signal publication it shares with GpuPlan's own
+// batches (internal to the gpu layer; defined in multi_plan.cpp).
 #pragma once
 
 #include <span>
@@ -8,6 +9,14 @@
 #include "cusim/cluster.hpp"
 
 namespace cusfft::gpu::detail {
+
+/// Publishes one signal's window into the always-on registry: its
+/// end-to-end latency into `cusfft_signal_latency_ms{device="<device>"}`
+/// and each phase span into `cusfft_phase_ms{phase="..."}`. Shared by
+/// GpuBatchStats::to_metrics and GpuFleetStats::to_metrics so the two can
+/// never drift apart.
+void observe_signal_metrics(cusim::MetricsRegistry& reg,
+                            const GpuSignalStats& sig, std::size_t device);
 
 /// The one rollup behind every GpuFleetStats — fleet, cluster and slab:
 /// rolls the batch up, publishes it once with to_metrics() and hands it to

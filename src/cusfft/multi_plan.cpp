@@ -295,8 +295,8 @@ std::vector<SparseSpectrum> MultiGpuPlan::run_shards(
     for (const Group& g : groups[d]) impl_->plan_for(d, g.p);
 
   // Shared t=0 for every device + the fleet-level pool snapshot. Shard
-  // batches append to this capture (execute_many_in_capture) so one
-  // device timeline covers all of its shape groups.
+  // batches append to this capture (run_batch without a fresh capture) so
+  // one device timeline covers all of its shape groups.
   group.begin_capture();
 
   std::vector<SparseSpectrum> out(batch);
@@ -318,8 +318,9 @@ std::vector<SparseSpectrum> MultiGpuPlan::run_shards(
         views.reserve(g.idx.size());
         for (const std::size_t i : g.idx) views.push_back(signals[i].x);
         GpuBatchStats bs;
-        auto outs = impl_->plan_for(d, g.p).execute_many_in_capture(
-            std::span<const std::span<const cplx>>(views), &bs, mode);
+        auto outs = impl_->plan_for(d, g.p).run_batch(
+            std::span<const std::span<const cplx>>(views), &bs, mode,
+            /*fresh_capture=*/false);
         for (std::size_t j = 0; j < g.idx.size(); ++j) {
           out[g.idx[j]] = std::move(outs[j]);
           rec.per_signal[g.idx[j]] = std::move(bs.per_signal[j]);
@@ -434,6 +435,18 @@ void detail::roll_up_batch(GpuFleetStats st,
   if (stats != nullptr) *stats = std::move(st);
 }
 
+void detail::observe_signal_metrics(cusim::MetricsRegistry& reg,
+                                    const GpuSignalStats& sig,
+                                    std::size_t device) {
+  using cusim::MetricsRegistry;
+  reg.histogram(MetricsRegistry::label("cusfft_signal_latency_ms", "device",
+                                       std::to_string(device)))
+      .observe(sig.end_ms - sig.start_ms);
+  for (const auto& [phase, span_ms] : sig.phase_span_ms)
+    reg.histogram(MetricsRegistry::label("cusfft_phase_ms", "phase", phase))
+        .observe(span_ms);
+}
+
 void GpuFleetStats::to_metrics(cusim::MetricsRegistry& reg) const {
   using cusim::MetricsRegistry;
   reg.counter("cusfft_fleet_batches_total").inc();
@@ -470,8 +483,8 @@ void GpuFleetStats::to_metrics(cusim::MetricsRegistry& reg) const {
   // Per-signal windows land on the device that actually ran the signal —
   // this is where the per-device p50/p99 execute-latency story comes from.
   for (std::size_t i = 0; i < per_signal.size(); ++i)
-    observe_signal_metrics(reg, per_signal[i],
-                           i < device_of.size() ? device_of[i] : 0);
+    detail::observe_signal_metrics(reg, per_signal[i],
+                                   i < device_of.size() ? device_of[i] : 0);
 
   if (per_node.empty()) return;
   reg.counter("cusfft_cluster_batches_total").inc();

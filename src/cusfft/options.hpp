@@ -49,9 +49,6 @@ struct Options {
   /// Sort used by the sort&select cutoff when fast_selection is off.
   custhrust::SortAlgo sort_algo = custhrust::SortAlgo::kRadix;
 
-  /// Threshold scale for fast selection (beta x bucket RMS).
-  double select_beta = 1.0;
-
   /// Include the host-to-device transfer of the input signal in the modeled
   /// time (the paper includes it when comparing against CPU PsFFT, Fig. 5e,
   /// and excludes it for the GPU-resident cuFFT comparisons).

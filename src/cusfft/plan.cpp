@@ -11,6 +11,7 @@
 #include "core/modmath.hpp"
 #include "core/rng.hpp"
 #include "cufftsim/cufftsim.hpp"
+#include "cusfft/batch_rollup.hpp"
 #include "cusim/metrics.hpp"
 #include "custhrust/reduce.hpp"
 #include "custhrust/sort.hpp"
@@ -383,8 +384,7 @@ struct GpuPlan::Impl {
                   });
       norm2 = custhrust::reduce_norm2(*dev, ln.z, s);
     }
-    const double thresh2 =
-        opts.select_beta * opts.select_beta * norm2 / static_cast<double>(B);
+    const double thresh2 = norm2 / static_cast<double>(B);
 
     dev->launch(LaunchCfg::for_elements("select_reset", 1, 1, s).cache(0),
                 [&](ThreadCtx& t) { ln.sel_count.store(t, 0, 0); });
@@ -534,7 +534,7 @@ struct GpuPlan::Impl {
   }
 
   /// Timeline markers of one signal's phase boundaries (for the per-phase
-  /// spans of GpuExecStats/GpuSignalStats). Recorded via
+  /// spans of GpuSignalStats). Recorded via
   /// Device::annotate_phase so a collected CaptureProfile carries the same
   /// named spans. In pipelined batches these are stream-scoped events on
   /// the signal's home stream, so each signal's spans come from its own
@@ -554,7 +554,7 @@ struct GpuPlan::Impl {
     bool chain_back = false;
   };
 
-  /// Phase labels — shared by GpuExecStats::phase_span_ms keys and the
+  /// Phase labels — shared by GpuSignalStats::phase_span_ms keys and the
   /// capture profile's phase track.
   static constexpr const char* kPhaseTransfer = "a transfer+reset";
   static constexpr const char* kPhaseBin = "b comb+bin+fft";
@@ -819,26 +819,20 @@ struct GpuPlan::Impl {
     return out;
   }
 
-  /// How run_lanes places a batch on the modeled device.
-  enum class Schedule {
-    kSingle,      ///< one signal, no trailing sync (execute())
-    kSerialized,  ///< a device-wide sync after every signal
-    kPipelined,   ///< alternating home streams, chained by stream events
-  };
-
   /// Runs every signal's kernel sequence on a lane — slot l of the
   /// device's pool runs a contiguous range of signals on lanes[l], which
   /// must exist (ensure_lanes(pool().chunks(size))) — then applies the
   /// signals' logs on the calling thread in signal order, so the device
-  /// sees the serial program's calls whatever the lane count. The first
-  /// failing signal's exception is rethrown once the logs before it, and
-  /// its own up to the failure, are applied: the serial program's state.
-  /// `ev` receives device event ids.
+  /// sees the serial program's calls whatever the lane count. Pipelined
+  /// signals alternate home streams, chained by stream events; otherwise
+  /// a device-wide sync follows every signal. The first failing signal's
+  /// exception is rethrown once the logs before it, and its own up to the
+  /// failure, are applied: the serial program's state. `ev` receives
+  /// device event ids.
   std::vector<SparseSpectrum> run_lanes(
-      std::span<const std::span<const cplx>> xs, Schedule sched,
+      std::span<const std::span<const cplx>> xs, bool pipelined,
       std::vector<PhaseEvents>& ev) {
     const std::size_t count = xs.size();
-    const bool pipelined = sched == Schedule::kPipelined;
     if (logs.size() < count) logs.resize(count);
     std::vector<SparseSpectrum> out(count);
     std::vector<std::exception_ptr> errors(count);
@@ -873,7 +867,7 @@ struct GpuPlan::Impl {
       for (std::size_t* id : {&ev[i].start, &ev[i].setup, &ev[i].binned,
                               &ev[i].voted, &ev[i].done})
         *id = logs[i].event_id(*id);
-      if (sched == Schedule::kSerialized) dev->sync_point();
+      if (!pipelined) dev->sync_point();
     }
     return out;
   }
@@ -1033,55 +1027,16 @@ const Options& GpuPlan::options() const { return impl_->opts; }
 std::size_t GpuPlan::buckets() const { return impl_->B; }
 
 SparseSpectrum GpuPlan::execute(std::span<const cplx> x,
-                                GpuExecStats* stats) {
-  Impl& im = *impl_;
-  cusim::Device& dev = *im.dev;
-
-  WallTimer wall;
-  dev.begin_capture();
-  std::vector<Impl::PhaseEvents> evs;
-  SparseSpectrum out =
-      std::move(im.run_lanes({&x, 1}, Impl::Schedule::kSingle, evs).front());
-  const Impl::PhaseEvents& ev = evs.front();
-
-  // Stats are assembled whether or not the caller asked for them: the
-  // always-on registry records every execute. The event queries hit the
-  // cached simulate() the makespan already ran, so the overhead is a few
-  // map folds per execute, not a re-simulation.
-  GpuExecStats local;
-  GpuExecStats& st = stats != nullptr ? *stats : local;
-  st.model_ms = dev.elapsed_model_ms();
-  st.host_ms = wall.ms();
-  st.candidates = out.size();
-  st.algo = im.p.algo;
-  st.step_model_ms.clear();
-  for (const auto& [name, rep] : dev.report())
-    st.step_model_ms[step_of_kernel(name)] += rep.solo_s * 1e3;
-  // Overlap-aware phase spans from the timeline events.
-  const auto labels = Impl::phase_labels(im.p.algo);
-  const double t0 = dev.event_time_ms(ev.start);
-  const double t1 = dev.event_time_ms(ev.setup);
-  const double t2 = dev.event_time_ms(ev.binned);
-  const double t3 = dev.event_time_ms(ev.voted);
-  st.phase_span_ms.clear();
-  st.phase_span_ms[labels[0]] = t1 - t0;
-  st.phase_span_ms[labels[1]] = t2 - t1;
-  st.phase_span_ms[labels[2]] = t3 - t2;
-  st.phase_span_ms[labels[3]] = st.model_ms - t3;
-  st.to_metrics(cusim::MetricsRegistry::global());
-  return out;
+                                GpuBatchStats* stats) {
+  return std::move(
+      run_batch({&x, 1}, stats, BatchMode::kSerialized, /*fresh_capture=*/true)
+          .front());
 }
 
 std::vector<SparseSpectrum> GpuPlan::execute_many(
     std::span<const std::span<const cplx>> xs, GpuBatchStats* stats,
     BatchMode mode) {
   return run_batch(xs, stats, mode, /*fresh_capture=*/true);
-}
-
-std::vector<SparseSpectrum> GpuPlan::execute_many_in_capture(
-    std::span<const std::span<const cplx>> xs, GpuBatchStats* stats,
-    BatchMode mode) {
-  return run_batch(xs, stats, mode, /*fresh_capture=*/false);
 }
 
 std::vector<SparseSpectrum> GpuPlan::run_batch(
@@ -1100,18 +1055,16 @@ std::vector<SparseSpectrum> GpuPlan::run_batch(
   im.ensure_lanes(dev.pool().chunks(xs.size()));
   // One capture for the whole batch: every device buffer, the uploaded
   // filter, the cuFFT-sim plans and the stream pool are reused across
-  // signals, so per-signal cost is purely the kernel sequence. The
-  // in-capture variant appends to an already-open capture instead —
-  // mixed-shape shards run several plans' batches in one capture, so
-  // opening a fresh one here would erase the earlier shape groups.
+  // signals, so per-signal cost is purely the kernel sequence. A fleet
+  // shard appends to its already-open capture instead — it runs several
+  // plans' batches in one capture, so opening a fresh one here would erase
+  // the earlier shape groups.
   if (fresh_capture) dev.begin_capture();
   // Pipelined: signal i+1's transfer + reset + binning (the front stage,
   // on the other home stream) overlaps signal i's cutoff/vote/estimate
   // (the back stage). See DESIGN.md for the dependency graph.
   std::vector<Impl::PhaseEvents> evs;
-  std::vector<SparseSpectrum> out = im.run_lanes(
-      xs, pipelined ? Impl::Schedule::kPipelined : Impl::Schedule::kSerialized,
-      evs);
+  std::vector<SparseSpectrum> out = im.run_lanes(xs, pipelined, evs);
   std::size_t candidates = 0;
   for (const SparseSpectrum& sp : out) candidates += sp.size();
 
@@ -1154,38 +1107,7 @@ std::vector<SparseSpectrum> GpuPlan::run_batch(
   return out;
 }
 
-void observe_signal_metrics(cusim::MetricsRegistry& reg,
-                            const GpuSignalStats& sig, std::size_t device) {
-  using cusim::MetricsRegistry;
-  reg.histogram(MetricsRegistry::label("cusfft_signal_latency_ms", "device",
-                                       std::to_string(device)))
-      .observe(sig.end_ms - sig.start_ms);
-  for (const auto& [phase, span_ms] : sig.phase_span_ms)
-    reg.histogram(MetricsRegistry::label("cusfft_phase_ms", "phase", phase))
-        .observe(span_ms);
-}
-
-void GpuExecStats::to_metrics(cusim::MetricsRegistry& reg) const {
-  using cusim::MetricsRegistry;
-  reg.counter("cusfft_executes_total").inc();
-  reg.counter(MetricsRegistry::label("cusfft_algo_executes_total", "algo",
-                                     sfft::to_string(algo)))
-      .inc();
-  reg.counter("cusfft_candidates_total").add(candidates);
-  reg.histogram("cusfft_execute_model_ms").observe(model_ms);
-  reg.histogram("cusfft_execute_host_ms").observe(host_ms);
-  // A solo execute is one signal on (implicit) device 0, so it feeds the
-  // same per-device latency family the fleet paths populate.
-  reg.histogram(
-         MetricsRegistry::label("cusfft_signal_latency_ms", "device", "0"))
-      .observe(model_ms);
-  for (const auto& [phase, span_ms] : phase_span_ms)
-    reg.histogram(MetricsRegistry::label("cusfft_phase_ms", "phase", phase))
-        .observe(span_ms);
-}
-
-void GpuBatchStats::to_metrics(cusim::MetricsRegistry& reg,
-                               std::size_t device) const {
+void GpuBatchStats::to_metrics(cusim::MetricsRegistry& reg) const {
   reg.counter("cusfft_batches_total").inc();
   if (pipelined) reg.counter("cusfft_batches_pipelined_total").inc();
   reg.counter("cusfft_signals_total").add(signals);
@@ -1196,7 +1118,7 @@ void GpuBatchStats::to_metrics(cusim::MetricsRegistry& reg,
   reg.histogram("cusfft_batch_model_ms").observe(model_ms);
   reg.histogram("cusfft_batch_host_ms").observe(host_ms);
   for (const GpuSignalStats& sig : per_signal)
-    observe_signal_metrics(reg, sig, device);
+    detail::observe_signal_metrics(reg, sig, /*device=*/0);
 }
 
 const char* step_of_kernel(const std::string& k) {
@@ -1214,6 +1136,13 @@ const char* step_of_kernel(const std::string& k) {
   if (starts("estimate")) return sfft::step::kEstimate;
   if (starts("h2d") || starts("d2h")) return "0 transfer";
   return "other";
+}
+
+std::map<std::string, double> step_model_ms(const cusim::Device& dev) {
+  std::map<std::string, double> steps;
+  for (const auto& [name, rep] : dev.report())
+    steps[step_of_kernel(name)] += rep.solo_s * 1e3;
+  return steps;
 }
 
 }  // namespace cusfft::gpu

@@ -1,8 +1,9 @@
 // cusFFT — the paper's contribution: the sparse FFT running as simulator
 // kernels on the (simulated) GPU. One GpuPlan owns all device state: the
 // uploaded flat filter (time taps + length-n frequency response), the
-// permutation parameters, the stream pool, and every working buffer, so an
-// execute() is exactly the kernel sequence of Sections IV-V.
+// permutation parameters, the stream pool, and every working buffer, so
+// each signal of a batch is exactly the kernel sequence of Sections IV-V.
+// A single execute() is a batch of one.
 //
 // Numerical contract: identical Params (and seed) produce the same
 // permutations as sfft::SerialPlan, so GPU and CPU outputs agree to FFT
@@ -43,7 +44,7 @@ enum class BatchMode {
 struct GpuSignalStats {
   double start_ms = 0;  // capture-relative [start, end) of this signal
   double end_ms = 0;
-  std::map<std::string, double> phase_span_ms;  // same keys as GpuExecStats;
+  std::map<std::string, double> phase_span_ms;  // one span per phase;
                                                 // spans tile [start, end)
   std::size_t candidates = 0;
   /// Backend that ran this signal (resolved — never kAuto). Under
@@ -51,15 +52,7 @@ struct GpuSignalStats {
   sfft::Algorithm algo = sfft::Algorithm::kCusfft;
 };
 
-/// Publishes one signal's window into the always-on registry: its
-/// end-to-end latency into `cusfft_signal_latency_ms{device="<device>"}`
-/// and each phase span into `cusfft_phase_ms{phase="..."}`. Shared by the
-/// single-device batch path and the fleet adapter so the two can never
-/// drift apart.
-void observe_signal_metrics(cusim::MetricsRegistry& reg,
-                            const GpuSignalStats& sig, std::size_t device);
-
-/// Modeled timing and wall time for one execute_many() batch.
+/// Modeled timing and wall time for one execute() or execute_many() batch.
 struct GpuBatchStats {
   double model_ms = 0;  // modeled makespan of the whole batch
   double host_ms = 0;   // wall time of the functional simulation
@@ -77,30 +70,8 @@ struct GpuBatchStats {
 
   /// Folds this batch into the always-on registry (batch counters,
   /// model/host latency histograms, per-signal latencies + phase spans on
-  /// `device`). execute_many() publishes automatically; the fleet path
-  /// publishes once through GpuFleetStats::to_metrics instead.
-  void to_metrics(cusim::MetricsRegistry& reg, std::size_t device = 0) const;
-};
-
-/// Modeled timing and counters for one execute().
-struct GpuExecStats {
-  double model_ms = 0;  // modeled makespan on the GpuSpec (incl. transfer
-                        // when Options::include_transfer)
-  double host_ms = 0;   // wall time of the functional simulation (for
-                        // transparency; not a GPU time)
-  std::map<std::string, double> step_model_ms;  // per paper step, summed
-                                                // solo kernel durations
-  std::map<std::string, double> phase_span_ms;  // true timeline spans
-                                                // between phase boundaries
-                                                // (overlap-aware)
-  std::size_t candidates = 0;  // locations that survived voting
-  /// Backend this execute ran (resolved — never kAuto). Also keys the
-  /// cusfft_algo_executes_total{algo=...} counter in to_metrics.
-  sfft::Algorithm algo = sfft::Algorithm::kCusfft;
-
-  /// Folds this execute into the always-on registry (execute counter,
-  /// model/host latency histograms, phase-span histograms). execute()
-  /// publishes automatically.
+  /// device 0). execute() and execute_many() publish automatically; the
+  /// fleet path publishes once through GpuFleetStats::to_metrics instead.
   void to_metrics(cusim::MetricsRegistry& reg) const;
 };
 
@@ -117,10 +88,11 @@ class GpuPlan {
   const Options& options() const;
   std::size_t buckets() const;
 
-  /// Runs the full GPU algorithm on x (length n). Returns the recovered
-  /// sparse spectrum sorted by location.
+  /// Runs the full GPU algorithm on x (length n): execute_many() on a
+  /// batch of one. Returns the recovered sparse spectrum sorted by
+  /// location; `stats` describes the one-signal batch.
   SparseSpectrum execute(std::span<const cplx> x,
-                         GpuExecStats* stats = nullptr);
+                         GpuBatchStats* stats = nullptr);
 
   /// Throughput path: runs the algorithm on every signal of the batch in
   /// one capture, reusing all of the plan's device state (no per-signal
@@ -138,17 +110,15 @@ class GpuPlan {
       std::span<const std::span<const cplx>> xs,
       GpuBatchStats* stats = nullptr, BatchMode mode = BatchMode::kAuto);
 
-  /// execute_many() without opening a fresh capture: appends this batch to
-  /// the capture already open on the device. Mixed-shape shards run one
-  /// batch per shape-specific plan inside a single device capture (with a
-  /// sync point between shape groups) so the shard's timeline covers all
-  /// of them; execute_many() would reset the capture and erase the earlier
-  /// groups. The caller owns begin_capture()/end_capture().
-  std::vector<SparseSpectrum> execute_many_in_capture(
-      std::span<const std::span<const cplx>> xs,
-      GpuBatchStats* stats = nullptr, BatchMode mode = BatchMode::kAuto);
-
  private:
+  friend class MultiGpuPlan;  // runs its shard batches through run_batch
+
+  /// The one batch path behind execute() and execute_many(). With
+  /// fresh_capture it opens a capture and publishes the batch to the
+  /// registry. Without, the batch appends to the capture already open on
+  /// the device — the caller owns begin_capture()/end_capture() and the
+  /// publication — so a fleet shard's timeline covers all of its shape
+  /// groups.
   std::vector<SparseSpectrum> run_batch(
       std::span<const std::span<const cplx>> xs, GpuBatchStats* stats,
       BatchMode mode, bool fresh_capture);
@@ -160,5 +130,11 @@ class GpuPlan {
 /// Maps a kernel name to the paper step it belongs to (the keys of
 /// sfft::step::*); used for the per-step GPU profile and by tests.
 const char* step_of_kernel(const std::string& kernel_name);
+
+/// The per-step breakdown of the device's current capture, in ms: the
+/// summed solo durations of Device::report() (kernels and transfers)
+/// folded by step_of_kernel. Sums to the capture's total solo time, not to
+/// its makespan.
+std::map<std::string, double> step_model_ms(const cusim::Device& dev);
 
 }  // namespace cusfft::gpu

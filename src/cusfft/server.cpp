@@ -378,7 +378,6 @@ struct Server::Impl {
       cluster = std::make_unique<cusim::Cluster>(cfg.nodes, cfg.devices);
       plan = std::make_unique<gpu::ClusterPlan>(
           *cluster, b.run.front().params, cfg.opts);
-      plan->set_shard_policy(cfg.shard_policy);
     }
     std::vector<gpu::MixedSignal> mix;
     mix.reserve(b.run.size());

@@ -91,7 +91,6 @@ struct ServerConfig {
     o.include_transfer = true;  // serving pays the H2D copy
     return o;
   }();
-  gpu::ShardPolicy shard_policy = gpu::ShardPolicy::kCostLpt;
 
   /// Applies the CUSFFT_SERVE_* environment knobs on top of `base`:
   /// CUSFFT_SERVE_DEVICES, CUSFFT_SERVE_NODES, CUSFFT_SERVE_MAX_BATCH,

@@ -16,8 +16,9 @@
 // in-repo core/json_lite reader. Metric naming scheme, label convention,
 // and the capture-vs-continuous split are documented in docs/PROFILING.md.
 //
-// Family prefixes currently registered here: cusfft_executes_total /
-// cusfft_signal_latency_ms / cusfft_phase_ms (per-plan execution),
+// Family prefixes currently registered here: cusfft_batches_total /
+// cusfft_signals_total / cusfft_signal_latency_ms / cusfft_phase_ms
+// (per-plan batches; a single execute is a batch of one),
 // cusfft_fleet_* / cusfft_device_* (MultiGpuPlan sharding), cusfft_pool_*
 // / cusfft_arena_* / cusfft_graph_* (allocator and replay substrate), and
 // cusfft_serve_* (the multi-tenant serving tier — requests/completed/

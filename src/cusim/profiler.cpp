@@ -103,8 +103,8 @@ double append_spans(CaptureProfile& p, const Timeline& tl,
 /// Appends one device's phase spans: each annotation opens a phase that
 /// its explicit close event, the next annotation in the same scope
 /// (device-wide, or the same stream for scoped annotations), or
-/// `end_default_ms` closes — exactly GpuExecStats/GpuSignalStats::
-/// phase_span_ms's arithmetic.
+/// `end_default_ms` closes — exactly GpuSignalStats::phase_span_ms's
+/// arithmetic.
 void append_phases(CaptureProfile& p, const Device& dev,
                    const std::vector<ItemSchedule>& sched,
                    unsigned dev_index, double end_default_ms) {

@@ -199,7 +199,7 @@ TEST(BenchJson, WriteResultsEmbedsMetricsSnapshot) {
   const std::string path = "/tmp/cusfft_bench_metrics_embed.json";
   const std::string metrics =
       "{\"schema\": \"cusfft-metrics-v1\", \"counters\": "
-      "{\"cusfft_executes_total\": 3}, \"gauges\": {}, \"histograms\": {}}";
+      "{\"cusfft_batches_total\": 3}, \"gauges\": {}, \"histograms\": {}}";
   ASSERT_TRUE(
       write_results_json(path, "throughput", {{"execute", 1.0, 0.5}},
                          metrics));
@@ -215,7 +215,7 @@ TEST(BenchJson, WriteResultsEmbedsMetricsSnapshot) {
   EXPECT_EQ(m->string_or("schema", ""), "cusfft-metrics-v1");
   const json::Value* counters = m->find("counters");
   ASSERT_NE(counters, nullptr);
-  EXPECT_DOUBLE_EQ(counters->number_or("cusfft_executes_total", 0), 3);
+  EXPECT_DOUBLE_EQ(counters->number_or("cusfft_batches_total", 0), 3);
   std::remove(path.c_str());
 }
 

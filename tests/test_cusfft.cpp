@@ -147,17 +147,37 @@ TEST(GpuPlan, StatsPopulated) {
   auto w = make_workload(n, k, 7);
   cusim::Device dev;
   GpuPlan plan(dev, make_params(n, k), Options::baseline());
-  GpuExecStats stats;
+  GpuBatchStats stats;
   auto got = plan.execute(w.sig.x, &stats);
   EXPECT_GT(stats.model_ms, 0.0);
   EXPECT_GT(stats.host_ms, 0.0);
+  EXPECT_EQ(stats.signals, 1u);
   EXPECT_GE(stats.candidates, got.size());
   // Every paper step shows up in the per-step profile.
-  EXPECT_GT(stats.step_model_ms.at(sfft::step::kPermFilter), 0.0);
-  EXPECT_GT(stats.step_model_ms.at(sfft::step::kSubFft), 0.0);
-  EXPECT_GT(stats.step_model_ms.at(sfft::step::kCutoff), 0.0);
-  EXPECT_GT(stats.step_model_ms.at(sfft::step::kLocRecover), 0.0);
-  EXPECT_GT(stats.step_model_ms.at(sfft::step::kEstimate), 0.0);
+  const auto steps = step_model_ms(dev);
+  EXPECT_GT(steps.at(sfft::step::kPermFilter), 0.0);
+  EXPECT_GT(steps.at(sfft::step::kSubFft), 0.0);
+  EXPECT_GT(steps.at(sfft::step::kCutoff), 0.0);
+  EXPECT_GT(steps.at(sfft::step::kLocRecover), 0.0);
+  EXPECT_GT(steps.at(sfft::step::kEstimate), 0.0);
+}
+
+TEST(GpuPlan, StepModelMsSumsToSoloTime) {
+  // The per-step breakdown of one capture partitions the device report:
+  // its steps sum to the total solo time of every kernel and transfer.
+  const std::size_t n = 1 << 13, k = 8;
+  auto w = make_workload(n, k, 8);
+  Options opts = Options::optimized();
+  opts.include_transfer = true;
+  cusim::Device dev;
+  GpuPlan plan(dev, make_params(n, k), opts);
+  plan.execute(w.sig.x);
+  double solo_ms = 0;
+  for (const auto& [name, rep] : dev.report()) solo_ms += rep.solo_s * 1e3;
+  double step_sum = 0;
+  for (const auto& [step, ms] : step_model_ms(dev)) step_sum += ms;
+  EXPECT_GT(solo_ms, 0.0);
+  EXPECT_NEAR(step_sum, solo_ms, 1e-12 * solo_ms);
 }
 
 TEST(GpuPlan, DeterministicAcrossExecutes) {
@@ -183,12 +203,12 @@ TEST(GpuPlan, TransferInclusionRaisesModelTime) {
 
   cusim::Device dev;
   GpuPlan pw(dev, make_params(n, k), with);
-  GpuExecStats sw;
+  GpuBatchStats sw;
   pw.execute(w.sig.x, &sw);
 
   cusim::Device dev2;
   GpuPlan po(dev2, make_params(n, k), without);
-  GpuExecStats so;
+  GpuBatchStats so;
   po.execute(w.sig.x, &so);
 
   const double h2d_ms =
@@ -207,17 +227,15 @@ TEST(GpuPlan, IndexMappingAblationIsCatastrophicallySlow) {
 
   cusim::Device dev;
   GpuPlan chained(dev, make_params(n, k), serial_chain);
-  GpuExecStats sc;
-  const auto got = chained.execute(w.sig.x, &sc);
+  const auto got = chained.execute(w.sig.x);
   EXPECT_DOUBLE_EQ(location_recall(got, w.oracle, k), 1.0);
 
   cusim::Device dev2;
   GpuPlan mapped(dev2, make_params(n, k), Options::baseline());
-  GpuExecStats sm;
-  mapped.execute(w.sig.x, &sm);
+  mapped.execute(w.sig.x);
 
-  EXPECT_GT(sc.step_model_ms.at(sfft::step::kPermFilter),
-            20.0 * sm.step_model_ms.at(sfft::step::kPermFilter));
+  EXPECT_GT(step_model_ms(dev).at(sfft::step::kPermFilter),
+            20.0 * step_model_ms(dev2).at(sfft::step::kPermFilter));
 }
 
 TEST(GpuPlan, FastSelectionCheaperThanSort) {
@@ -225,18 +243,16 @@ TEST(GpuPlan, FastSelectionCheaperThanSort) {
   auto w = make_workload(n, k, 19);
   cusim::Device dev;
   GpuPlan sorted(dev, make_params(n, k), Options::baseline());
-  GpuExecStats ss;
-  sorted.execute(w.sig.x, &ss);
+  sorted.execute(w.sig.x);
 
   cusim::Device dev2;
   Options fast;
   fast.fast_selection = true;
   GpuPlan selected(dev2, make_params(n, k), fast);
-  GpuExecStats sf;
-  selected.execute(w.sig.x, &sf);
+  selected.execute(w.sig.x);
 
-  EXPECT_LT(sf.step_model_ms.at(sfft::step::kCutoff),
-            ss.step_model_ms.at(sfft::step::kCutoff));
+  EXPECT_LT(step_model_ms(dev2).at(sfft::step::kCutoff),
+            step_model_ms(dev).at(sfft::step::kCutoff));
 }
 
 TEST(GpuPlan, BatchedFftFewerLaunchesThanUnbatched) {
@@ -301,18 +317,19 @@ TEST(GpuPlan, PhaseSpansCoverModelTime) {
   auto w = make_workload(n, k, 29);
   cusim::Device dev;
   GpuPlan plan(dev, make_params(n, k), Options::optimized());
-  GpuExecStats stats;
+  GpuBatchStats stats;
   plan.execute(w.sig.x, &stats);
-  ASSERT_EQ(stats.phase_span_ms.size(), 4u);
+  ASSERT_EQ(stats.per_signal.size(), 1u);
+  const auto& spans = stats.per_signal[0].phase_span_ms;
+  ASSERT_EQ(spans.size(), 4u);
   double sum = 0;
-  for (const auto& [name, ms] : stats.phase_span_ms) {
+  for (const auto& [name, ms] : spans) {
     EXPECT_GE(ms, -1e-9) << name;
     sum += ms;
   }
   EXPECT_NEAR(sum, stats.model_ms, stats.model_ms * 1e-6);
   // Binning + FFT dominates in this regime.
-  EXPECT_GT(stats.phase_span_ms.at("b comb+bin+fft"),
-            stats.phase_span_ms.at("a transfer+reset"));
+  EXPECT_GT(spans.at("b comb+bin+fft"), spans.at("a transfer+reset"));
 }
 
 

@@ -136,7 +136,7 @@ TEST(FfastBackends, CpuAndGpuAgreeToFftRounding) {
 
     const SparseSpectrum cpu = sfft::FfastPlan(p).execute(sig.x);
     cusim::Device dev;
-    gpu::GpuExecStats st;
+    gpu::GpuBatchStats st;
     const SparseSpectrum gpu_out =
         gpu::GpuPlan(dev, p, gpu::Options::optimized()).execute(sig.x, &st);
     EXPECT_EQ(st.algo, sfft::Algorithm::kFfast);

@@ -236,14 +236,14 @@ TEST(GraphReplay, PlanReplayBitIdenticalToUntraced) {
   Device dev_off;
   dev_off.set_graph_mode(GraphMode::kOff);
   gpu::GpuPlan plan_off(dev_off, params, opts);
-  gpu::GpuExecStats st_off;
+  gpu::GpuBatchStats st_off;
   const auto ref = plan_off.execute(x, &st_off);
 
   Device dev_on;
   dev_on.set_graph_mode(GraphMode::kOn);
   gpu::GpuPlan plan_on(dev_on, params, opts);
   const auto warm = plan_on.execute(x);  // records
-  gpu::GpuExecStats st_hot;
+  gpu::GpuBatchStats st_hot;
   const auto hot = plan_on.execute(x, &st_hot);  // replays
   EXPECT_GT(dev_on.graph_stats().replays, 0u);
 

@@ -298,14 +298,59 @@ TEST(MetricsAdapters, ExecuteAdvancesGlobalCounters) {
     plan.execute(x);
   }
   const auto after = reg.snapshot();
-  EXPECT_EQ(cnt(after, "cusfft_executes_total"),
-            cnt(before, "cusfft_executes_total") + 1);
+  EXPECT_EQ(cnt(after, "cusfft_batches_total"),
+            cnt(before, "cusfft_batches_total") + 1);
   EXPECT_GE(cnt(after, "cusfft_graph_records_total"),
             cnt(before, "cusfft_graph_records_total"));
   const auto& hists = after.histograms;
-  ASSERT_TRUE(hists.count("cusfft_execute_model_ms"));
-  EXPECT_GT(hists.at("cusfft_execute_model_ms").count, 0u);
+  ASSERT_TRUE(hists.count("cusfft_batch_model_ms"));
+  EXPECT_GT(hists.at("cusfft_batch_model_ms").count, 0u);
   ASSERT_TRUE(hists.count("cusfft_signal_latency_ms{device=\"0\"}"));
+}
+
+TEST(Metrics, SingleExecuteIsABatchOfOne) {
+  // One execute publishes as a one-signal batch: each batch family moves
+  // by exactly one, and no execute-only family exists.
+  sfft::Params p;
+  p.n = 1 << 12;
+  p.k = 8;
+  p.seed = 4;
+  const cvec x = metrics_signal(p.n, p.k, 6);
+  const std::string algo_signals = MetricsRegistry::label(
+      "cusfft_algo_signals_total", "algo", sfft::to_string(p.algo));
+  const std::string latency = "cusfft_signal_latency_ms{device=\"0\"}";
+
+  auto& reg = MetricsRegistry::global();
+  const auto before = reg.snapshot();
+  {
+    cusim::Device dev;
+    gpu::GpuPlan plan(dev, p, gpu::Options::optimized());
+    plan.execute(x);
+  }
+  const auto after = reg.snapshot();
+  const auto cnt = [](const MetricsRegistry::Snapshot& s,
+                      const std::string& name) {
+    const auto it = s.counters.find(name);
+    return it == s.counters.end() ? u64{0} : it->second;
+  };
+  const auto observations = [](const MetricsRegistry::Snapshot& s,
+                               const std::string& name) {
+    const auto it = s.histograms.find(name);
+    return it == s.histograms.end() ? u64{0} : it->second.count;
+  };
+  for (const std::string& name :
+       {std::string("cusfft_batches_total"),
+        std::string("cusfft_signals_total"), algo_signals})
+    EXPECT_EQ(cnt(after, name), cnt(before, name) + 1) << name;
+  EXPECT_EQ(observations(after, latency), observations(before, latency) + 1);
+  const auto execute_only = [](const std::string& name) {
+    return name.rfind("cusfft_execute", 0) == 0 ||
+           name.rfind("cusfft_algo_execute", 0) == 0;
+  };
+  for (const auto& [name, v] : after.counters)
+    EXPECT_FALSE(execute_only(name)) << name;
+  for (const auto& [name, h] : after.histograms)
+    EXPECT_FALSE(execute_only(name)) << name;
 }
 
 TEST(MetricsAdapters, FleetPublishesPerDeviceOnce) {

@@ -1,7 +1,7 @@
 // Tests for the capture observability subsystem (cusim/profiler.hpp):
 // chrome-trace export well-formedness, per-stream track invariants, phase
-// spans vs GpuExecStats agreement, allocation telemetry in profiles and in
-// report_table(), and serialization determinism.
+// spans vs per-signal stats agreement, allocation telemetry in profiles and
+// in report_table(), and serialization determinism.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -44,12 +44,11 @@ cvec test_signal(std::size_t n, std::size_t k, u64 seed) {
 }
 
 /// One optimized-backend execute; returns the device's capture profile and
-/// (optionally) the exec stats.
+/// (optionally) the one-signal batch's stats.
 CaptureProfile profiled_execute(Device& dev, gpu::GpuPlan& plan,
                                 const cvec& x,
-                                gpu::GpuExecStats* stats = nullptr) {
-  gpu::GpuExecStats local;
-  plan.execute(x, stats != nullptr ? stats : &local);
+                                gpu::GpuBatchStats* stats = nullptr) {
+  plan.execute(x, stats);
   return dev.end_capture();
 }
 
@@ -89,15 +88,17 @@ TEST(CaptureProfile, PhaseSpansMatchExecStats) {
   const auto p = small_params();
   Device dev;
   gpu::GpuPlan plan(dev, p, gpu::Options::optimized());
-  gpu::GpuExecStats stats;
+  gpu::GpuBatchStats stats;
   const CaptureProfile prof =
       profiled_execute(dev, plan, test_signal(p.n, p.k, 3), &stats);
 
-  ASSERT_EQ(prof.phases.size(), stats.phase_span_ms.size());
+  ASSERT_EQ(stats.per_signal.size(), 1u);
+  const auto& spans = stats.per_signal[0].phase_span_ms;
+  ASSERT_EQ(prof.phases.size(), spans.size());
   double total = 0;
   for (const auto& ph : prof.phases) {
-    ASSERT_TRUE(stats.phase_span_ms.count(ph.name)) << ph.name;
-    EXPECT_NEAR(ph.span_ms(), stats.phase_span_ms.at(ph.name),
+    ASSERT_TRUE(spans.count(ph.name)) << ph.name;
+    EXPECT_NEAR(ph.span_ms(), spans.at(ph.name),
                 1e-9 * std::max(1.0, prof.model_ms))
         << ph.name;
     total += ph.span_ms();

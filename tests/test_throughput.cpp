@@ -233,7 +233,7 @@ TEST(GpuPlanBatch, ExecuteManyMatchesRepeatedExecute) {
   std::vector<SparseSpectrum> one_by_one;
   double model_sum = 0;
   for (std::size_t i = 0; i < kBatch; ++i) {
-    gpu::GpuExecStats st;
+    gpu::GpuBatchStats st;
     one_by_one.push_back(plan.execute(views[i], &st));
     model_sum += st.model_ms;
   }

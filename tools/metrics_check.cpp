@@ -14,8 +14,8 @@
 // --cluster N validates the cluster-tier instruments for an N-node run
 // (cusfft_cluster_* coverage plus cross-node signal conservation), and
 // --algo validates the algorithm-picker instruments from a crossover run
-// (both backends calibrated, per-algo splits conserving their totals,
-// picks recorded, non-empty calibration table). Exit 0 when every
+// (both backends calibrated, the per-algo signal split conserving its
+// total, picks recorded, non-empty calibration table). Exit 0 when every
 // requested check passes, 1 on a failed check, 2 on usage/IO errors.
 #include <cstdlib>
 #include <cstring>

@@ -493,25 +493,18 @@ MetricsCheckResult check_algo_metrics(const std::string& json_text) {
     return sum;
   };
 
-  // A crossover run calibrates both backends, so both execute series must
+  // A crossover run calibrates both backends, so both signal series must
   // carry observations.
   for (const char* algo : {"cusfft", "ffast"}) {
     const std::string name =
-        std::string("cusfft_algo_executes_total{algo=\"") + algo + "\"}";
+        std::string("cusfft_algo_signals_total{algo=\"") + algo + "\"}";
     if (counter_or(name) == 0)
       fail(r, "missing or zero picker counter " + name);
   }
 
-  // Per-algo splits must conserve the unlabeled totals: every execute and
-  // every fleet/batch signal is attributed to exactly one backend.
-  const u64 exec_split = family_sum("cusfft_algo_executes_total");
-  const u64 execs = counter_or("cusfft_executes_total");
-  if (exec_split != execs) {
-    std::ostringstream os;
-    os << "algo execute split does not conserve: sum over backends "
-       << exec_split << " != cusfft_executes_total " << execs;
-    fail(r, os.str());
-  }
+  // The per-algo split must conserve the unlabeled total: every signal —
+  // a calibration execute, a batch or a fleet signal — is attributed to
+  // exactly one backend.
   const u64 sig_split = family_sum("cusfft_algo_signals_total");
   const u64 sigs = counter_or("cusfft_signals_total");
   if (sig_split != sigs) {

@@ -72,12 +72,11 @@ MetricsCheckResult check_cluster_metrics(const std::string& json_text,
                                          std::size_t nodes);
 
 /// Algorithm-picker coverage for a crossover run (bench_throughput
-/// --algo auto): both backends' cusfft_algo_executes_total series must
-/// have observations (calibration runs both), the per-algo
-/// executes/signals splits must conserve their unlabeled totals (every
-/// execute attributed to exactly one backend), cusfft_algo_picks_total
-/// must show the picker actually ran, and the
-/// cusfft_algo_crossover_cells gauge must report a non-empty
+/// --algo auto): both backends' cusfft_algo_signals_total series must
+/// have observations (calibration runs both), the per-algo signal split
+/// must conserve cusfft_signals_total (every signal attributed to exactly
+/// one backend), cusfft_algo_picks_total must show the picker actually
+/// ran, and the cusfft_algo_crossover_cells gauge must report a non-empty
 /// calibration table.
 MetricsCheckResult check_algo_metrics(const std::string& json_text);
 
