@@ -34,26 +34,44 @@ cvec random_signal(std::size_t n, u64 seed) {
   return x;
 }
 
+// The host FFT rows transform the same input every iteration: repeated
+// in-place transforms grow by sqrt(n) each and reach inf and NaN, whose
+// complex products take libgcc's slow path.
 void BM_HostFft(benchmark::State& state) {
   const std::size_t n = 1ULL << state.range(0);
-  cvec x = random_signal(n, 1);
+  const cvec x = random_signal(n, 1);
+  cvec y(n);
   fft::Plan plan(n, fft::Direction::kForward);
   for (auto _ : state) {
-    plan.execute(x);
-    benchmark::DoNotOptimize(x.data());
+    plan.execute(x, y);
+    benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(static_cast<i64>(state.iterations()) *
                           static_cast<i64>(n));
 }
 BENCHMARK(BM_HostFft)->Arg(10)->Arg(14)->Arg(18);
 
+// One-shot fft::fft: a fresh output and the shared plan lookup per call.
+void BM_HostFftOneShot(benchmark::State& state) {
+  const std::size_t n = 1ULL << state.range(0);
+  const cvec x = random_signal(n, 1);
+  for (auto _ : state) {
+    cvec y = fft::fft(x);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(static_cast<i64>(state.iterations()) *
+                          static_cast<i64>(n));
+}
+BENCHMARK(BM_HostFftOneShot)->Arg(16);
+
 void BM_HostFftBluestein(benchmark::State& state) {
   const std::size_t n = 10000;  // non-power-of-two
-  cvec x = random_signal(n, 2);
+  const cvec x = random_signal(n, 2);
+  cvec y(n);
   fft::Plan plan(n, fft::Direction::kForward);
   for (auto _ : state) {
-    plan.execute(x);
-    benchmark::DoNotOptimize(x.data());
+    plan.execute(x, y);
+    benchmark::DoNotOptimize(y.data());
   }
 }
 BENCHMARK(BM_HostFftBluestein);

@@ -393,11 +393,11 @@ SparseSpectrum ClusterPlan::execute_slab(std::span<const cplx> x,
   head.download(std::span<cplx>(reduced), acc);
 
   std::vector<cvec> bucket_sets(L);
-  fft::Plan bfft(B, fft::Direction::kForward);
+  const auto bfft = fft::get_plan(B, fft::Direction::kForward);
   for (std::size_t r = 0; r < L; ++r) {
     bucket_sets[r].assign(reduced.begin() + r * B,
                           reduced.begin() + (r + 1) * B);
-    bfft.execute(bucket_sets[r]);
+    bfft->execute(bucket_sets[r]);
   }
   std::vector<std::uint8_t> score(n, 0);
   std::vector<u64> hits;

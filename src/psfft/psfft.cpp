@@ -24,7 +24,7 @@ struct PsfftPlan::Impl {
   perfmodel::CpuModel model;
   std::size_t n = 0, B = 0, L = 0, w_pad = 0, rounds = 0, mask = 0;
   std::shared_ptr<const signal::FlatFilter> filter;
-  fft::Plan bfft;
+  std::shared_ptr<const fft::Plan> bfft;
 
   Impl(sfft::Params params, ThreadPool& pl, perfmodel::CpuSpec spec)
       : p((params.validate(), std::move(params))),
@@ -35,7 +35,7 @@ struct PsfftPlan::Impl {
         L(p.total_loops()),
         mask(n - 1),
         filter(signal::get_flat_filter(n, B, p.filter)),
-        bfft(B, fft::Direction::kForward) {
+        bfft(fft::get_plan(B, fft::Direction::kForward)) {
     w_pad = filter->time.size();
     rounds = w_pad / B;
   }
@@ -114,8 +114,8 @@ SparseSpectrum PsfftPlan::execute(std::span<const cplx> x,
     w_bin.streamed_bytes += 16.0 * (im.w_pad + im.B);
     w_bin.flops += 8.0 * static_cast<double>(im.w_pad);
 
-    im.bfft.execute(bucket_sets[r]);
-    const auto c = im.bfft.cost();
+    im.bfft->execute(bucket_sets[r]);
+    const auto c = im.bfft->cost();
     w_fft.streamed_bytes += c.bytes;
     w_fft.flops += c.flops;
 

@@ -33,12 +33,12 @@ CombFilter run_comb_filter(std::span<const cplx> x, std::size_t W,
   out.W = W;
   out.approved.assign(W, 0);
   const std::size_t stride = n / W;
-  fft::Plan plan(W, fft::Direction::kForward);
+  const auto plan = fft::get_plan(W, fft::Direction::kForward);
   cvec y(W);
   for (const u64 tau : taus) {
     for (std::size_t i = 0; i < W; ++i)
       y[i] = x[(i * stride + tau) % n];
-    plan.execute(y);
+    plan->execute(y);
     for (const u32 j : top_buckets(y, keep)) out.approved[j] = 1;
   }
   return out;

@@ -227,7 +227,7 @@ FfastPlan::FfastPlan(Params p) : p_(std::move(p)) {
   stages_ = ffast_stage_chain(p_.n, p_.ffast_bins(), p_.ffast_stages);
   ffts_.reserve(stages_.size());
   for (const auto& st : stages_)
-    ffts_.emplace_back(st.bins, fft::Direction::kForward);
+    ffts_.push_back(fft::get_plan(st.bins, fft::Direction::kForward));
 }
 
 SparseSpectrum FfastPlan::execute(std::span<const cplx> x,
@@ -259,7 +259,7 @@ SparseSpectrum FfastPlan::execute(std::span<const cplx> x,
   {
     auto sc = timed(ffast_step::kStageFft);
     for (std::size_t s = 0; s < stages_.size(); ++s)
-      ffts_[s].execute_batch(
+      ffts_[s]->execute_batch(
           std::span<cplx>(buckets.data() + stages_[s].offset,
                           kFfastShifts * stages_[s].bins),
           kFfastShifts);

@@ -93,7 +93,7 @@ class FfastPlan {
  private:
   Params p_;
   std::vector<FfastStage> stages_;
-  std::vector<fft::Plan> ffts_;  // one per stage (sizes differ)
+  std::vector<std::shared_ptr<const fft::Plan>> ffts_;  // one per stage
 };
 
 }  // namespace cusfft::sfft

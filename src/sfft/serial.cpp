@@ -12,7 +12,7 @@ SerialPlan::SerialPlan(Params p)
     : p_(std::move(p)),
       B_((p_.validate(), p_.buckets())),
       filter_(signal::get_flat_filter(p_.n, B_, p_.filter)),
-      bfft_(B_, fft::Direction::kForward) {}
+      bfft_(fft::get_plan(B_, fft::Direction::kForward)) {}
 
 SparseSpectrum SerialPlan::execute(std::span<const cplx> x,
                                    StepTimers* timers) const {
@@ -51,7 +51,7 @@ SparseSpectrum SerialPlan::execute(std::span<const cplx> x,
     }
     {
       auto s = timed(step::kSubFft);
-      bfft_.execute(bucket_sets[r]);
+      bfft_->execute(bucket_sets[r]);
     }
     if (r < p_.loops_loc) {
       std::vector<u32> selected;

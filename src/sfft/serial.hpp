@@ -44,7 +44,7 @@ class SerialPlan {
   Params p_;
   std::size_t B_ = 0;
   std::shared_ptr<const signal::FlatFilter> filter_;
-  fft::Plan bfft_;
+  std::shared_ptr<const fft::Plan> bfft_;
 };
 
 }  // namespace cusfft::sfft

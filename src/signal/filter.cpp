@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <compare>
-#include <map>
-#include <mutex>
 #include <stdexcept>
 
+#include "core/lru_cache.hpp"
 #include "core/modmath.hpp"
 #include "fft/fft.hpp"
 
@@ -45,16 +44,16 @@ FlatFilter make_flat_filter(std::size_t n, std::size_t B,
 
   // Memory note: length-n complex temporaries are reused aggressively so
   // at most two of them are live at any moment (a 2^27 plan would otherwise
-  // need six 2 GB arrays at once).
+  // need six 2 GB arrays at once), and only one while the inverse plan is:
+  // plans too large for the plan cache live only as long as their users.
 
   // Place the window centered at t=0 (mod n) so its spectrum is ~real and
   // the boxcar sum below adds in phase.
   cvec G(n, cplx{});
   for (std::size_t j = 0; j < w; ++j)
     G[(j + n - w / 2) % n] = cplx{win[j], 0.0};
-  fft::Plan fwd(n, fft::Direction::kForward);
-  fft::Plan inv(n, fft::Direction::kInverse);
-  fwd.execute(G);  // in place: G now holds the window spectrum
+  const auto fwd = fft::get_plan(n, fft::Direction::kForward);
+  fwd->execute(G);  // in place: G now holds the window spectrum
 
   // Flatten: H[f] = sum over the width-b boxcar centered on f of G.
   std::size_t b = static_cast<std::size_t>(
@@ -71,7 +70,9 @@ FlatFilter make_flat_filter(std::size_t n, std::size_t B,
     s += G[(i + b) % n] - G[i];
   }
 
-  inv.execute(H);  // in place: H now holds the flattened time response
+  G = cvec();
+  // In place: H now holds the flattened time response.
+  fft::get_plan(n, fft::Direction::kInverse)->execute(H);
 
   // Truncate back to w_pad taps around t=0 and store them in "applied"
   // order: tap j multiplies the sample at time offset j.
@@ -85,10 +86,10 @@ FlatFilter make_flat_filter(std::size_t n, std::size_t B,
     out.time[j] = H[(j + n - w_pad / 2) % n];
 
   // Final frequency response of exactly the taps applied, peak-normalized.
-  // Reuse G as the padded tap buffer, transforming into H's storage.
-  std::fill(G.begin(), G.end(), cplx{});
+  // G is the padded tap buffer, transformed into H's storage.
+  G.assign(n, cplx{});
   std::copy(out.time.begin(), out.time.end(), G.begin());
-  fwd.execute(G, H);
+  fwd->execute(G, H);
   out.freq = std::move(H);
   double peak = 0.0;
   for (const auto& v : out.freq) peak = std::max(peak, std::abs(v));
@@ -108,19 +109,14 @@ struct FilterKey {
   auto operator<=>(const FilterKey&) const = default;
 };
 
-struct FilterCache {
-  std::mutex mu;
-  // value: (filter, last-use tick) — a tiny LRU; entries hold a length-n
-  // frequency response each, so keep few.
-  std::map<FilterKey, std::pair<std::shared_ptr<const FlatFilter>, u64>>
-      entries;
-  u64 tick = 0;
-  std::size_t hits = 0, misses = 0;
-  static constexpr std::size_t kCapacity = 8;
-};
+using FilterCache = LruCache<FilterKey, FlatFilter>;
+
+// Entries hold a length-n frequency response each, so keep few.
+constexpr std::size_t kFilterCacheCapacity = 8;
 
 FilterCache& filter_cache() {
-  static FilterCache* c = new FilterCache();  // leaked: exit-order safe
+  static FilterCache* c = new FilterCache(  // leaked: exit-order safe
+      kFilterCacheCapacity, [](const FlatFilter&) -> std::size_t { return 1; });
   return *c;
 }
 
@@ -130,44 +126,19 @@ std::shared_ptr<const FlatFilter> get_flat_filter(std::size_t n,
                                                   std::size_t B,
                                                   const FlatFilterParams& p) {
   check_filter_args(n, B);
-  const FilterKey key{n, B, p.kind, p.tolerance, p.lobefrac_scale,
-                      p.boxcar_scale};
-  FilterCache& c = filter_cache();
-  {
-    std::lock_guard lk(c.mu);
-    auto it = c.entries.find(key);
-    if (it != c.entries.end()) {
-      ++c.hits;
-      it->second.second = ++c.tick;
-      return it->second.first;
-    }
-    ++c.misses;
-  }
-  // Build outside the lock (seconds at large n); a racing duplicate build
-  // is harmless — last writer wins, both results are identical.
-  auto filter = std::make_shared<const FlatFilter>(make_flat_filter(n, B, p));
-  std::lock_guard lk(c.mu);
-  if (c.entries.size() >= FilterCache::kCapacity &&
-      c.entries.find(key) == c.entries.end()) {
-    auto lru = c.entries.begin();
-    for (auto it = c.entries.begin(); it != c.entries.end(); ++it)
-      if (it->second.second < lru->second.second) lru = it;
-    c.entries.erase(lru);
-  }
-  c.entries[key] = {filter, ++c.tick};
-  return filter;
+  // Built outside the lock on a miss (seconds at large n).
+  return filter_cache().get(
+      FilterKey{n, B, p.kind, p.tolerance, p.lobefrac_scale, p.boxcar_scale},
+      [&] {
+        return std::make_shared<const FlatFilter>(make_flat_filter(n, B, p));
+      });
 }
 
 FilterCacheStats flat_filter_cache_stats() {
-  FilterCache& c = filter_cache();
-  std::lock_guard lk(c.mu);
-  return {c.hits, c.misses, c.entries.size()};
+  const LruStats s = filter_cache().stats();
+  return {s.hits, s.misses, s.entries};
 }
 
-void flat_filter_cache_clear() {
-  FilterCache& c = filter_cache();
-  std::lock_guard lk(c.mu);
-  c.entries.clear();
-}
+void flat_filter_cache_clear() { filter_cache().clear(); }
 
 }  // namespace cusfft::signal

@@ -1,10 +1,14 @@
 // Unit + property tests for src/fft: plan correctness against the naive DFT
 // oracle, round trips, linearity, shift theorem, batching, parallel paths,
-// Bluestein sizes.
+// Bluestein sizes; bit-exact oracles against the stage-by-stage radix-2 loop
+// the depth-first order replaced; the shared plan cache.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <thread>
 
+#include "core/modmath.hpp"
 #include "core/rng.hpp"
 #include "core/thread_pool.hpp"
 #include "fft/dft.hpp"
@@ -165,15 +169,23 @@ TEST(FftBatch, ParallelMatchesSerial) {
   EXPECT_LT(max_abs_diff(a, b), 1e-12);
 }
 
+bool same_bytes(const cvec& a, const cvec& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)) == 0;
+}
+
 TEST(FftParallel, LargeTransformMatchesSerial) {
-  const std::size_t n = 1 << 12;
-  cvec a = random_signal(n, 9);
-  cvec b = a;
-  fft::Plan p(n, fft::Direction::kForward);
-  p.execute(a);
   ThreadPool pool(4);
-  p.execute_parallel(b, pool);
-  EXPECT_LT(max_abs_diff(a, b), 1e-12);
+  for (const std::size_t n : {std::size_t{1} << 12, std::size_t{1} << 20}) {
+    for (const auto dir : {fft::Direction::kForward, fft::Direction::kInverse}) {
+      cvec a = random_signal(n, 9);
+      cvec b = a;
+      const auto p = fft::get_plan(n, dir);
+      p->execute(a);
+      p->execute_parallel(b, pool);
+      EXPECT_TRUE(same_bytes(a, b)) << "n=" << n;
+    }
+  }
 }
 
 TEST(FftParallel, InverseParallelRoundTrip) {
@@ -238,6 +250,186 @@ TEST(FftProperties, ConjugateSymmetryForRealInput) {
   cvec X = fft::fft(x);
   for (std::size_t k = 1; k < n; ++k)
     ASSERT_NEAR(std::abs(X[k] - std::conj(X[n - k])), 0.0, 1e-8) << k;
+}
+
+// --- Bit-exact oracle: the stage-by-stage radix-2 loop with one n/2-entry
+// twiddle table and a bit-reversal table, as src/fft ran it before the
+// depth-first order. execute() must match it byte for byte.
+
+std::vector<u32> ref_bitrev(std::size_t n) {
+  std::vector<u32> rev(n);
+  const unsigned logn = log2_floor(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    u32 r = 0;
+    for (unsigned b = 0; b < logn; ++b)
+      if (i >> b & 1) r |= 1u << (logn - 1 - b);
+    rev[i] = r;
+  }
+  return rev;
+}
+
+cvec ref_twiddles(std::size_t n, double sign) {
+  cvec tw(std::max<std::size_t>(n / 2, 1));
+  for (std::size_t j = 0; j < tw.size(); ++j) {
+    const double ang = sign * kTwoPi * static_cast<double>(j) /
+                       static_cast<double>(n);
+    tw[j] = cplx{std::cos(ang), std::sin(ang)};
+  }
+  return tw;
+}
+
+double ref_sign(fft::Direction dir) {
+  return dir == fft::Direction::kForward ? -1.0 : 1.0;
+}
+
+void ref_radix2(cvec& a, fft::Direction dir) {
+  const std::size_t n = a.size();
+  if (n == 1) return;
+  const std::vector<u32> bitrev = ref_bitrev(n);
+  const cvec twiddles = ref_twiddles(n, ref_sign(dir));
+  for (std::size_t i = 0; i < n; ++i) {
+    const u32 r = bitrev[i];
+    if (i < r) std::swap(a[i], a[r]);
+  }
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const std::size_t half = len >> 1;
+    const std::size_t step = n / len;
+    for (std::size_t i = 0; i < n; i += len) {
+      for (std::size_t j = 0; j < half; ++j) {
+        const cplx w = twiddles[j * step];
+        const cplx u = a[i + j];
+        const cplx v = a[i + j + half] * w;
+        a[i + j] = u + v;
+        a[i + j + half] = u - v;
+      }
+    }
+  }
+  if (dir == fft::Direction::kInverse) {
+    const double inv_n = 1.0 / static_cast<double>(n);
+    for (auto& x : a) x *= inv_n;
+  }
+}
+
+/// Bluestein's chirp-z on the reference radix-2 loop.
+void ref_bluestein(cvec& a, fft::Direction dir) {
+  const std::size_t n = a.size();
+  const std::size_t m = next_pow2(2 * n - 1);
+  const double sign = ref_sign(dir);
+  cvec chirp(n);
+  for (std::size_t t = 0; t < n; ++t) {
+    const u64 t2 = mod_mul(t, t, 2 * n);
+    const double ang = sign * kPi * static_cast<double>(t2) /
+                       static_cast<double>(n);
+    chirp[t] = cplx{std::cos(ang), std::sin(ang)};
+  }
+  cvec bfreq(m, cplx{});
+  bfreq[0] = std::conj(chirp[0]);
+  for (std::size_t t = 1; t < n; ++t) {
+    bfreq[t] = std::conj(chirp[t]);
+    bfreq[m - t] = std::conj(chirp[t]);
+  }
+  ref_radix2(bfreq, fft::Direction::kForward);
+  cvec av(m, cplx{});
+  for (std::size_t t = 0; t < n; ++t) av[t] = a[t] * chirp[t];
+  ref_radix2(av, fft::Direction::kForward);
+  for (std::size_t t = 0; t < m; ++t) av[t] *= bfreq[t];
+  ref_radix2(av, fft::Direction::kInverse);
+  const double scale =
+      dir == fft::Direction::kInverse ? 1.0 / static_cast<double>(n) : 1.0;
+  for (std::size_t k = 0; k < n; ++k) a[k] = av[k] * chirp[k] * scale;
+}
+
+void expect_matches_reference(std::size_t n) {
+  for (const auto dir : {fft::Direction::kForward, fft::Direction::kInverse}) {
+    cvec want = random_signal(n, 400 + n);
+    cvec got = want;
+    if (is_pow2(n))
+      ref_radix2(want, dir);
+    else
+      ref_bluestein(want, dir);
+    fft::get_plan(n, dir)->execute(got);
+    EXPECT_TRUE(same_bytes(got, want))
+        << "n=" << n << (dir == fft::Direction::kForward ? " fwd" : " inv");
+  }
+}
+
+TEST(FftOracle, Pow2UpTo2e20MatchesReferenceBytes) {
+  for (unsigned logn = 1; logn <= 20; ++logn)
+    expect_matches_reference(std::size_t{1} << logn);
+}
+
+// The two largest sizes run as their own tests so ctest -j overlaps them.
+TEST(FftOracle, Pow2e21MatchesReferenceBytes) {
+  expect_matches_reference(std::size_t{1} << 21);
+}
+
+TEST(FftOracle, Pow2e22MatchesReferenceBytes) {
+  expect_matches_reference(std::size_t{1} << 22);
+}
+
+// 18915 is the longest Dolph-Chebyshev window the benchmark's cold jobs build.
+TEST(FftOracle, BluesteinMatchesReferenceBytes) {
+  for (const std::size_t n : {3, 5, 12, 100, 243, 1000, 10000, 18915})
+    expect_matches_reference(n);
+}
+
+// --- The process-wide plan cache.
+
+TEST(FftPlanCache, OnePlanPerSizeAndDirection) {
+  const auto a = fft::get_plan(1024, fft::Direction::kForward);
+  const auto b = fft::get_plan(1024, fft::Direction::kForward);
+  const auto c = fft::get_plan(1024, fft::Direction::kInverse);
+  const auto d = fft::get_plan(1000, fft::Direction::kForward);
+  EXPECT_EQ(a.get(), b.get());
+  EXPECT_NE(a.get(), c.get());
+  EXPECT_EQ(d.get(), fft::get_plan(1000, fft::Direction::kForward).get());
+  EXPECT_EQ(a->size(), 1024u);
+  EXPECT_EQ(c->direction(), fft::Direction::kInverse);
+}
+
+TEST(FftPlanCache, ConcurrentFirstTouchGivesIdenticalBytes) {
+  const std::vector<std::size_t> sizes = {1 << 10, 1 << 13, 1 << 16, 1000,
+                                          18915};
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<cvec>> out(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (const std::size_t n : sizes) {
+        const cvec x = random_signal(n, 500 + n);
+        out[t].push_back(fft::fft(x));
+        out[t].push_back(fft::ifft(x));
+      }
+    });
+  for (auto& th : threads) th.join();
+  for (std::size_t t = 1; t < kThreads; ++t)
+    for (std::size_t i = 0; i < out[0].size(); ++i)
+      EXPECT_TRUE(same_bytes(out[t][i], out[0][i])) << "thread " << t;
+  for (const std::size_t n : sizes) {
+    const auto p = fft::get_plan(n, fft::Direction::kForward);
+    EXPECT_EQ(p.get(), fft::get_plan(n, fft::Direction::kForward).get());
+  }
+}
+
+TEST(FftPlanCache, RetainedBytesStayWithinBudget) {
+  std::weak_ptr<const fft::Plan> largest;
+  for (unsigned logn = 10; logn <= 22; ++logn) {
+    const auto p = fft::get_plan(std::size_t{1} << logn,
+                                 fft::Direction::kForward);
+    EXPECT_LE(fft::plan_cache_stats().cost, fft::kPlanCacheBudgetBytes);
+    largest = p;
+  }
+  EXPECT_TRUE(largest.expired()) << "a 2^22 plan outlived its last user";
+  EXPECT_LE(fft::plan_cache_stats().cost, fft::kPlanCacheBudgetBytes);
+  // Everything up to 2^16 fits at once in both directions.
+  for (unsigned logn = 1; logn <= 16; ++logn)
+    for (const auto dir : {fft::Direction::kForward, fft::Direction::kInverse})
+      fft::get_plan(std::size_t{1} << logn, dir);
+  const auto before = fft::plan_cache_stats();
+  for (unsigned logn = 1; logn <= 16; ++logn)
+    for (const auto dir : {fft::Direction::kForward, fft::Direction::kInverse})
+      fft::get_plan(std::size_t{1} << logn, dir);
+  EXPECT_EQ(fft::plan_cache_stats().misses, before.misses);
 }
 
 }  // namespace
